@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import documents as docs
-from .core import DensityMatrix, PureState, Unitary, ray_distance, spectral_decompose
+from .core import DensityMatrix, PureState, Unitary, ray_distance
 from .errors import (
     DocumentError,
     NumericalError,
@@ -63,11 +63,24 @@ def _seed(text: str) -> int:
     return value
 
 
+def _count(text: str) -> int:
+    try:
+        value = int(text, 10)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad count {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError("count must be at least 1")
+    return value
+
+
 def _read(path) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path is None or path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DocumentError(f"cannot read {path or 'stdin'}: {exc}") from exc
 
 
 def _write(args, doc: dict):
@@ -127,7 +140,6 @@ def _cmd_classify(args) -> int:
     text = _read(args.infile)
     rho = _load(text, "density")
     info = classify(rho, tol=args.tol)
-    dec = spectral_decompose(rho)
     purity = float((rho.matrix @ rho.matrix).trace().real)
     report = docs.report_document(
         command="classify",
@@ -140,7 +152,7 @@ def _cmd_classify(args) -> int:
             "is_pure": info.is_pure,
             "is_full_rank": info.is_full_rank,
             "purity": purity,
-            "eigenvalues": [float(x) for x in dec.eigenvalues],
+            "eigenvalues": list(info.eigenvalues),
         },
         tolerances={"tol": args.tol},
     )
@@ -276,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="check the stratum dimension formula on random samples")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mu", type=int, required=True)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_count, default=20)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
     _add_io(p, infile=False)

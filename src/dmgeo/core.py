@@ -147,6 +147,25 @@ def _eigh(m: np.ndarray):
         raise DecompositionFailureError(str(exc)) from exc
 
 
+def check_hermitian_unit_trace(m: np.ndarray, tol: float):
+    """Run the density-matrix checks that need no eigenvalues.
+
+    Raises
+    ------
+    NotSquareError, NotFiniteError, NotHermitianError, TraceNotOneError
+        On the first failed check, in that order.
+    """
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NotSquareError(f"shape {m.shape}")
+    _require_finite(m)
+    herm_dev = float(np.max(np.abs(m - m.conj().T)))
+    if herm_dev > tol:
+        raise NotHermitianError(herm_dev)
+    trace = complex(np.trace(m))
+    if abs(trace - 1.0) > tol:
+        raise TraceNotOneError(trace)
+
+
 def check_density(m: np.ndarray, tol: float, psd_tol: float | None = None):
     """Run the density-matrix checks on a raw array without transforming it.
 
@@ -168,15 +187,7 @@ def check_density(m: np.ndarray, tol: float, psd_tol: float | None = None):
     """
     if psd_tol is None:
         psd_tol = tol
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSquareError(f"shape {m.shape}")
-    _require_finite(m)
-    herm_dev = float(np.max(np.abs(m - m.conj().T)))
-    if herm_dev > tol:
-        raise NotHermitianError(herm_dev)
-    trace = complex(np.trace(m))
-    if abs(trace - 1.0) > tol:
-        raise TraceNotOneError(trace)
+    check_hermitian_unit_trace(m, tol)
     try:
         smallest = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
     except np.linalg.LinAlgError as exc:
@@ -207,6 +218,11 @@ def validate_density(m, tol: float = VALIDATION_TOL) -> DensityMatrix:
     """
     a = np.asarray(m, dtype=complex)
     check_density(a, tol)
+    return _symmetrized_density(a)
+
+
+def _symmetrized_density(a: np.ndarray) -> DensityMatrix:
+    """Wrap ``(a + a^dag)/2``, renormalized to unit trace, without checks."""
     h = 0.5 * (a + a.conj().T)
     tr = float(np.trace(h).real)
     # skip the division when the trace is already exact so that parsing an

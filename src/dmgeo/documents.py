@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+from itertools import chain
 
 import numpy as np
 
@@ -28,52 +28,59 @@ NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
 
 
-def _entry(value) -> complex:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(
-            isinstance(part, (int, float)) and not isinstance(part, bool)
-            for part in value
-        )
-    ):
-        raise DocumentError(f"entry {value!r} is not a [re, im] pair")
-    re, im = float(value[0]), float(value[1])
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise DocumentError(f"entry {value!r} is not finite")
-    return complex(re, im)
+def _check_pairs(entries):
+    for value in entries:
+        if (
+            not isinstance(value, list)
+            or len(value) != 2
+            or not all(
+                isinstance(part, (int, float)) and not isinstance(part, bool)
+                for part in value
+            )
+        ):
+            raise DocumentError(f"entry {value!r} is not a [re, im] pair")
 
 
-def _pair(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
+def _complex_entries(entries: list) -> np.ndarray:
+    """Flat complex array from a non-empty list of [re, im] pairs."""
+    # set scans over the types settle well-formed input in C; the per-entry
+    # check runs only when they fail, to admit subclasses or name the culprit
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        _check_pairs(entries)
+    leaves = list(chain.from_iterable(entries))
+    if not set(map(type, leaves)) <= {int, float}:
+        _check_pairs(entries)
+    try:
+        flat = np.array(leaves, dtype=float)
+    except OverflowError as exc:
+        raise DocumentError("an integer entry is too large for a double") from exc
+    if not np.isfinite(flat).all():
+        raise DocumentError("entries must be finite (no NaN or Inf)")
+    return flat.view(complex)
 
 
 def _parse_square(data, n: int) -> np.ndarray:
     if not isinstance(data, list) or len(data) != n:
         raise DocumentError(f"expected {n} rows")
-    out = np.empty((n, n), dtype=complex)
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != n:
-            raise DocumentError(f"row {i} does not have {n} entries")
-        for j, value in enumerate(row):
-            out[i, j] = _entry(value)
-    return out
+    if set(map(type, data)) != {list} or set(map(len, data)) != {n}:
+        for i, row in enumerate(data):
+            if not isinstance(row, list) or len(row) != n:
+                raise DocumentError(f"row {i} does not have {n} entries")
+    return _complex_entries(list(chain.from_iterable(data))).reshape(n, n)
 
 
 def matrix_document(value) -> dict:
     """Serialize a DensityMatrix, PureState, or Unitary to a document dict."""
     if isinstance(value, DensityMatrix):
-        kind, n = "density", value.n
-        data = [[_pair(z) for z in row] for row in value.matrix]
+        kind, a = "density", value.matrix
     elif isinstance(value, Unitary):
-        kind, n = "unitary", value.n
-        data = [[_pair(z) for z in row] for row in value.matrix]
+        kind, a = "unitary", value.matrix
     elif isinstance(value, PureState):
-        kind, n = "pure_state", value.n
-        data = [_pair(z) for z in value.amplitudes]
+        kind, a = "pure_state", value.amplitudes
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
-    return {"kind": kind, "n": n, "data": data}
+    data = np.stack([a.real, a.imag], axis=-1).tolist()
+    return {"kind": kind, "n": value.n, "data": data}
 
 
 def from_document(obj) -> "DensityMatrix | PureState | Unitary":
@@ -102,7 +109,7 @@ def from_document(obj) -> "DensityMatrix | PureState | Unitary":
             raise DocumentError(
                 f"pure_state data must hold n^2 = {n * n} amplitudes"
             )
-        amps = np.array([_entry(v) for v in data], dtype=complex)
+        amps = _complex_entries(data)
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise NotNormalizedError(f"norm = {norm!r}")

@@ -8,6 +8,7 @@ generic points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +17,10 @@ from .core import (
     RANK_TOL,
     DensityMatrix,
     Unitary,
-    spectral_decompose,
+    _symmetrized_density,
+    check_hermitian_unit_trace,
     numerical_rank,
+    spectral_decompose,
     validate_density,
 )
 from .errors import (
@@ -26,6 +29,8 @@ from .errors import (
     DegenerateTotalWeightError,
     DimensionNotTwoError,
     NonGenericSpectrumError,
+    NotFiniteError,
+    NotPositiveError,
     OutsideBallError,
     RankOutOfRangeError,
 )
@@ -43,6 +48,13 @@ GENERIC_EPS = 1e-8
 #: required ratio between the last kept and first dropped singular value
 GAP_RATIO = 1e6
 
+#: validation tolerance that every convex-split component must meet
+SPLIT_TOL = 1e-8
+
+#: factor by which n * eps / (1 - lam_max) must stay below SPLIT_TOL for
+#: convex_split to trust the spectrum instead of validating each component
+SPLIT_ERROR_MARGIN = 1e3
+
 
 @dataclass(frozen=True)
 class StratumInfo:
@@ -52,6 +64,8 @@ class StratumInfo:
     stratum_dim: int
     is_pure: bool
     is_full_rank: bool
+    #: the full spectrum, descending, as computed for the rank decision
+    eigenvalues: tuple
 
 
 @dataclass(frozen=True)
@@ -107,6 +121,7 @@ def classify(rho: DensityMatrix, tol: float = RANK_TOL) -> StratumInfo:
         stratum_dim=stratum_dimension(n, mu),
         is_pure=mu == 1,
         is_full_rank=mu == n,
+        eigenvalues=tuple(dec.eigenvalues.tolist()),
     )
 
 
@@ -196,21 +211,44 @@ def convex_split(rho: DensityMatrix, tol: float = RANK_TOL) -> ConvexSplit:
     eigenvalues, component k is (rho - lam_k P_k) / (1 - lam_k) with
     weight (1 - lam_k) / (mu - 1).  Each component drops exactly the
     k-th eigendirection, weights are positive and sum to one.
+
+    Components are built from the spectrum and are not re-validated: rho
+    is checked once, at ``SPLIT_TOL`` relative to the components, for
+    Hermiticity and trace, and for positivity through its eigenvalues.
+    Near-pure rho, whose rounding error the division by 1 - lam_max blows
+    up towards ``SPLIT_TOL``, instead gets every component validated.
     """
     dec = spectral_decompose(rho)
-    mu = numerical_rank(dec.eigenvalues, tol)
+    lam = dec.eigenvalues
+    mu = numerical_rank(lam, tol)
     if mu < 2:
         raise AlreadyPureError("rank 1 cannot be lowered")
+    # component k has eigenvalues lam_j / (1 - lam_k), j != k, plus a zero,
+    # and inherits rho's Hermitian and trace deviations divided by 1 - lam_k;
+    # the descending order makes k = 0 the worst case for every check
+    scale = 1.0 - lam[0]
+    if scale <= tol:
+        raise DegenerateTotalWeightError(f"eigenvalue {lam[0]!r} is within tol of 1")
+    # forming rho - lam_k P_k rounds at about n * eps, and component k
+    # carries that divided by 1 - lam_k; only while it stays far below
+    # SPLIT_TOL do the checks on rho decide the checks on the components
+    trusted = rho.n * np.finfo(float).eps * SPLIT_ERROR_MARGIN <= SPLIT_TOL * scale
+    if trusted:
+        check_hermitian_unit_trace(rho.matrix, SPLIT_TOL * scale)
+        smallest = float(lam[-1]) / scale
+        if smallest < -SPLIT_TOL:
+            raise NotPositiveError(smallest)
     weights = []
     components = []
     for k in range(mu):
-        lam_k = dec.eigenvalues[k]
-        if 1.0 - lam_k <= tol:
-            raise DegenerateTotalWeightError(f"eigenvalue {lam_k!r} is within tol of 1")
+        lam_k = lam[k]
         p_k = np.outer(dec.eigenvectors[:, k], dec.eigenvectors[:, k].conj())
         tau = (rho.matrix - lam_k * p_k) / (1.0 - lam_k)
         weights.append((1.0 - lam_k) / (mu - 1))
-        components.append(validate_density(tau, tol=1e-8))
+        if trusted:
+            components.append(_symmetrized_density(tau))
+        else:
+            components.append(validate_density(tau, tol=SPLIT_TOL))
     return ConvexSplit(np.array(weights), tuple(components))
 
 
@@ -228,9 +266,13 @@ def bloch_vector(rho: DensityMatrix) -> BlochVector:
 
 def density_from_bloch(r: BlochVector) -> DensityMatrix:
     """Inverse chart rho = (I + x sigma_x + y sigma_y + z sigma_z) / 2."""
-    norm_sq = r.x**2 + r.y**2 + r.z**2
-    if norm_sq > 1.0 + 1e-10:
-        raise OutsideBallError(f"|r| = {np.sqrt(norm_sq)!r}")
+    coords = (r.x, r.y, r.z)
+    if not all(map(math.isfinite, coords)):
+        raise NotFiniteError(f"Bloch coordinates {coords}")
+    # a coordinate above 2 is outside the ball; testing it first keeps the
+    # squared norm from overflowing for huge coordinates
+    if max(map(abs, coords)) > 2.0 or r.x**2 + r.y**2 + r.z**2 > 1.0 + 1e-10:
+        raise OutsideBallError(f"|r| = {math.hypot(*coords)!r}")
     m = 0.5 * (np.eye(2, dtype=complex) + r.x * SIGMA_X + r.y * SIGMA_Y + r.z * SIGMA_Z)
     return DensityMatrix(m)
 

@@ -180,9 +180,11 @@ def test_exit_code_split_pure(run_cli):
 
 
 def test_exit_code_bloch_outside_ball(run_cli):
-    rc, out, err = run_cli(["bloch", "--from", "1.0", "0.1", "0.0"])
-    assert rc == 4
-    assert "OutsideBall" in err
+    # huge coordinates must not overflow the norm into a traceback
+    for coords in (["1.0", "0.1", "0.0"], ["1e308", "1e308", "0"]):
+        rc, out, err = run_cli(["bloch", "--from", *coords])
+        assert rc == 4
+        assert "OutsideBall" in err and "Traceback" not in err
 
 
 def test_exit_code_sample_rank_range(run_cli):
@@ -243,3 +245,32 @@ def test_in_process_main_matches_subprocess(run_cli):
     rc_a, out_a = call_main(["classify"], stdin_text=HALF_MIX)
     rc_b, out_b, _ = run_cli(["classify"], stdin_text=HALF_MIX)
     assert (rc_a, out_a) == (rc_b, out_b)
+
+
+def test_exit_code_bloch_from_non_finite(run_cli):
+    rc, out, err = run_cli(["bloch", "--from", "nan", "0", "0"])
+    assert (rc, out) == (3, "")
+    assert "NotFinite" in err and "Traceback" not in err
+
+
+def test_exit_code_verify_dimension_no_samples(run_cli):
+    for count in ("0", "-3"):
+        rc, out, err = run_cli(["verify-dimension", "--n", "2", "--mu", "2", "--samples", count])
+        assert (rc, out) == (2, "")
+        assert "Traceback" not in err
+
+
+def test_exit_code_unreadable_input(run_cli, tmp_path):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (str(tmp_path / "missing.json"), str(binary), str(tmp_path)):
+        rc, out, err = run_cli(["purify", "--in", path])
+        assert (rc, out) == (2, "")
+        assert "DocumentError" in err and "Traceback" not in err
+
+
+def test_exit_code_integer_too_large_for_double(run_cli):
+    doc = '{"kind": "pure_state", "n": 1, "data": [[1' + "0" * 400 + ', 0]]}'
+    rc, out, err = run_cli(["trace"], stdin_text=doc)
+    assert (rc, out) == (2, "")
+    assert "DocumentError" in err and "Traceback" not in err

@@ -55,6 +55,20 @@ def test_parse_rejects_malformed():
         '{"kind": "density", "n": 2, "data": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, false]]]}',
         '{"kind": "pure_state", "n": 2, "data": [[1, 0], [0, 0], [0, 0]]}',
         '{"kind": "density", "n": 2, "data": [[[NaN, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+        '{"kind": "density", "n": 2, "data": [[[Infinity, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+        '{"kind": "density", "n": 2, "data": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0], [0, 0]]]}',
+        '{"kind": "density", "n": 2, "data": [[[0.5, 0], [0, 0]], {}]}',
+        '{"kind": "density", "n": 2, "data": [[[0.5, 0], [0, 0]], [[0, 0]]]}',
+        '{"kind": "density", "n": 2, "data": [[[0.5, 0]], [[0, 0]], [[0.5, 0]]]}',
+        '{"kind": "density", "n": 2, "data": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, null]]]}',
+        '{"kind": "density", "n": 2, "data": [[[1' + "0" * 400 + ', 0], [0, 0]], [[0, 0], [0, 0]]]}',
+        '{"kind": "pure_state", "n": 1, "data": [[1' + "0" * 400 + ", 0]]}",
+        '{"kind": "pure_state", "n": 1, "data": [["1", 0]]}',
+        '{"kind": "pure_state", "n": 1, "data": [[null, 0]]}',
+        '{"kind": "pure_state", "n": 1, "data": [[true, 0]]}',
+        '{"kind": "pure_state", "n": 1, "data": [{"re": 1, "im": 0}]}',
+        '{"kind": "pure_state", "n": 1, "data": [[1, 0, 0]]}',
+        '{"kind": "pure_state", "n": 1, "data": [[1, [0]]]}',
     ]
     for text in bad:
         with pytest.raises(DocumentError):
@@ -82,6 +96,21 @@ def test_parse_validation_failures():
         docs.parse_matrix_document(
             '{"kind": "unitary", "n": 2, "data": [[[2, 0], [0, 0]], [[0, 0], [1, 0]]]}'
         )
+
+
+def test_large_integer_entries_parse_like_float():
+    # a 1x1 density fails the trace check carrying its one entry as parsed
+    for big in (2**53 + 1, 2**64 + 1, 10**300, -(2**63) - 1):
+        with pytest.raises(TraceNotOneError) as excinfo:
+            docs.parse_matrix_document(f'{{"kind": "density", "n": 1, "data": [[[{big}, 0]]]}}')
+        assert excinfo.value.trace == complex(float(big), 0.0)
+
+
+def test_from_document_accepts_number_subclasses():
+    value = docs.from_document(
+        {"kind": "pure_state", "n": 1, "data": [[np.float64(0.6), np.float64(0.8)]]}
+    )
+    np.testing.assert_array_equal(value.amplitudes, [0.6 + 0.8j])
 
 
 def test_integer_entries_accepted():

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dmgeo import core, sampling, strata
 from dmgeo.errors import (
     AlreadyPureError,
+    DegenerateTotalWeightError,
     DimensionNotTwoError,
+    DmgeoError,
     NonGenericSpectrumError,
+    NotFiniteError,
+    NotHermitianError,
+    NotPositiveError,
     OutsideBallError,
     RankOutOfRangeError,
+    TraceNotOneError,
 )
 
 
@@ -58,6 +65,8 @@ def test_classify_examples():
     info = strata.classify(diag_density(0.5, 0.5, 0.0, 0.0))
     assert (info.n, info.mu) == (4, 2)
     assert (info.stratum_dim, info.stabilizer_dim) == (11, 4)
+    assert info.eigenvalues == (0.5, 0.5, 0.0, 0.0)
+    assert all(type(x) is float for x in info.eigenvalues)
 
 
 def test_classify_purity_relation():
@@ -176,6 +185,106 @@ def test_convex_split_rejects_pure():
         strata.convex_split(diag_density(1.0, 0.0))
 
 
+def reference_split(rho, tol=core.RANK_TOL):
+    # reference split: every component built as in convex_split, then passed
+    # through the full validate_density, one eigvalsh per component
+    dec = core.spectral_decompose(rho)
+    mu = core.numerical_rank(dec.eigenvalues, tol)
+    if mu < 2:
+        raise AlreadyPureError(mu)
+    weights, components = [], []
+    for k in range(mu):
+        lam_k = dec.eigenvalues[k]
+        if 1.0 - lam_k <= tol:
+            raise DegenerateTotalWeightError(lam_k)
+        p_k = np.outer(dec.eigenvectors[:, k], dec.eigenvectors[:, k].conj())
+        tau = (rho.matrix - lam_k * p_k) / (1.0 - lam_k)
+        weights.append((1.0 - lam_k) / (mu - 1))
+        components.append(core.validate_density(tau, tol=1e-8).matrix)
+    return np.array(weights), components
+
+
+@st.composite
+def split_spectra(draw):
+    n = draw(st.integers(2, 6))
+    mu = draw(st.integers(2, n))
+    levels = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=mu))
+    head = np.array([draw(st.sampled_from(levels)) for _ in range(mu)])
+    head /= head.sum()
+    if draw(st.booleans()):
+        # near-pure: 1 - lam_max on both sides of where rounding amplified
+        # by 1 / (1 - lam_max) reaches the 1e-8 component tolerance
+        rest = 10.0 ** -draw(st.floats(2.0, 9.5))
+        head[1:] *= rest / head[1:].sum()
+        head[0] = 1.0 - rest
+    # repeated levels split by offsets on both sides of CLUSTER_GAP
+    offsets = st.sampled_from([0.0, 0.5, 0.99, 1.0, 1.01, 2.0])
+    head += np.array([draw(offsets) for _ in range(mu)]) * core.CLUSTER_GAP
+    tail = [draw(st.sampled_from([0.0, 0.0, 1e-13, -1e-13, 1e-12])) for _ in range(n - mu)]
+    return np.concatenate([head, tail]), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_spectra())
+def test_convex_split_bitwise_equals_revalidated_reference(case):
+    lam, seed = case
+    u = sampling.random_unitary(lam.size, seed).matrix
+    m = (u * lam) @ u.conj().T
+    rho = core.validate_density(m / np.trace(m).real)
+    try:
+        weights, components = reference_split(rho)
+    except DmgeoError as exc:
+        with pytest.raises(type(exc)):
+            strata.convex_split(rho)
+        return
+    split = strata.convex_split(rho)
+    assert np.array_equal(split.weights, weights)
+    assert len(split.components) == len(components)
+    for comp, ref in zip(split.components, components):
+        assert np.array_equal(comp.matrix, ref)
+
+
+def test_convex_split_positivity_checked_on_spectrum():
+    # valid at the parse tolerance, but component 0 = (rho - lam_0 P_0) / 1e-6
+    # carries the -5e-11 eigenvalue as -5e-5
+    rho = diag_density(1 - 1e-6 + 5e-11, 1e-6, -5e-11)
+    with pytest.raises(NotPositiveError):
+        reference_split(rho)
+    with pytest.raises(NotPositiveError):
+        strata.convex_split(rho)
+
+
+def test_convex_split_hermitian_and_trace_checked_on_rho():
+    skew = core.DensityMatrix(np.array([[0.5, 1e-6], [0.0, 0.5]]))
+    heavy = core.DensityMatrix(np.diag([0.6, 0.6]))
+    for rho, error in ((skew, NotHermitianError), (heavy, TraceNotOneError)):
+        with pytest.raises(error):
+            reference_split(rho)
+        with pytest.raises(error):
+            strata.convex_split(rho)
+
+
+def test_convex_split_runs_one_eigh_and_no_eigvalsh(monkeypatch):
+    rho = sampling.random_density(5, 4, 21)
+    near_pure = diag_density(1 - 1e-7, 1e-7)
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    strata.convex_split(rho)
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+    # near-pure input validates each of its two components in full
+    calls.update(eigh=0, eigvalsh=0)
+    strata.convex_split(near_pure)
+    assert calls == {"eigh": 1, "eigvalsh": 2}
+
+
 def test_bloch_vector_examples():
     r = strata.bloch_vector(core.validate_density(np.eye(2, dtype=complex) / 2))
     assert (r.x, r.y, r.z) == (0.0, 0.0, 0.0)
@@ -203,8 +312,15 @@ def test_density_from_bloch_examples():
 
 
 def test_density_from_bloch_outside_ball():
-    with pytest.raises(OutsideBallError):
-        strata.density_from_bloch(strata.BlochVector(1.0, 0.1, 0.0))
+    for coords in ((1.0, 0.1, 0.0), (1e308, 1e308, 0.0), (0.0, -1e200, 0.0)):
+        with pytest.raises(OutsideBallError):
+            strata.density_from_bloch(strata.BlochVector(*coords))
+
+
+def test_density_from_bloch_rejects_non_finite():
+    for coords in ((np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, -np.inf)):
+        with pytest.raises(NotFiniteError):
+            strata.density_from_bloch(strata.BlochVector(*coords))
 
 
 def test_bloch_roundtrip_random():
