@@ -30,10 +30,8 @@ from .purification import (
     partial_trace_b,
     purify,
     schmidt,
-    schmidt_number,
 )
 from .sampling import (
-    SamplerConfig,
     random_density,
     random_generic_density,
     random_pure,
@@ -63,7 +61,6 @@ __all__ = [
     "ConvexSplit",
     "DensityMatrix",
     "PureState",
-    "SamplerConfig",
     "SchmidtDecomposition",
     "SpectralDecomposition",
     "StratumInfo",
@@ -87,7 +84,6 @@ __all__ = [
     "random_unitary",
     "ray_distance",
     "schmidt",
-    "schmidt_number",
     "spectral_decompose",
     "stabilizer_dimension",
     "stratum_dimension",

@@ -14,21 +14,16 @@ import sys
 import numpy as np
 
 from . import documents as docs
-from .core import DensityMatrix, PureState, Unitary, ray_distance
+from .core import DensityMatrix, PureState, Unitary, check_rank_range, ray_distance
 from .errors import (
+    DmgeoError,
     DocumentError,
     NumericalError,
     PreconditionError,
     ValidationError,
 )
 from .purification import apply_local_b, connecting_unitary, partial_trace_b, purify
-from .sampling import (
-    SamplerConfig,
-    random_density,
-    random_generic_density,
-    random_pure,
-    random_unitary,
-)
+from .sampling import random_density, random_generic_density, random_pure, random_unitary
 from .strata import (
     BlochVector,
     bloch_vector,
@@ -45,6 +40,14 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_PRECONDITION = 4
 EXIT_NUMERICAL = 5
+
+#: exit code of each error family, checked in order
+_EXIT_CODES = (
+    (DocumentError, EXIT_PARSE),
+    (ValidationError, EXIT_VALIDATION),
+    (PreconditionError, EXIT_PRECONDITION),
+    ((NumericalError, np.linalg.LinAlgError), EXIT_NUMERICAL),
+)
 
 #: residual bound for the connect subcommand
 RESIDUAL_BOUND = 1e-9
@@ -85,12 +88,14 @@ def _read(path) -> str:
 
 def _write(args, doc: dict):
     text = docs.dumps(doc)
-    out = getattr(args, "out", None)
-    if out is None or out == "-":
+    if args.out is None or args.out == "-":
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {args.out}: {exc}") from exc
 
 
 _KIND_TYPES = {"density": DensityMatrix, "pure_state": PureState, "unitary": Unitary}
@@ -103,15 +108,21 @@ def _load(text: str, kind: str):
     return value
 
 
-def _cmd_purify(args) -> int:
-    rho = _load(_read(args.infile), "density")
-    _write(args, docs.matrix_document(purify(rho)))
-    return EXIT_OK
-
-
-def _cmd_trace(args) -> int:
-    psi = _load(_read(args.infile), "pure_state")
-    _write(args, docs.matrix_document(partial_trace_b(psi)))
+def _cmd_document(args) -> int:
+    # read one document of args.kind; args.op returns a typed value, written
+    # as a matrix document, or a results dict, written as a report
+    text = _read(args.infile)
+    out = args.op(_load(text, args.kind), args)
+    if isinstance(out, dict):
+        out = docs.report_document(
+            command=args.command,
+            inputs={args.kind: docs.digest(text)},
+            results=out,
+            tolerances={"tol": args.tol} if "tol" in args else {},
+        )
+    else:
+        out = docs.matrix_document(out)
+    _write(args, out)
     return EXIT_OK
 
 
@@ -136,67 +147,43 @@ def _cmd_connect(args) -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
-def _cmd_classify(args) -> int:
-    text = _read(args.infile)
-    rho = _load(text, "density")
+def _classify(rho, args) -> dict:
     info = classify(rho, tol=args.tol)
-    purity = float((rho.matrix @ rho.matrix).trace().real)
-    report = docs.report_document(
-        command="classify",
-        inputs={"density": docs.digest(text)},
-        results={
-            "n": info.n,
-            "mu": info.mu,
-            "stratum_dim": info.stratum_dim,
-            "stabilizer_dim": info.stabilizer_dim,
-            "is_pure": info.is_pure,
-            "is_full_rank": info.is_full_rank,
-            "purity": purity,
-            "eigenvalues": list(info.eigenvalues),
-        },
-        tolerances={"tol": args.tol},
-    )
-    _write(args, report)
-    return EXIT_OK
+    return {
+        "n": info.n,
+        "mu": info.mu,
+        "stratum_dim": info.stratum_dim,
+        "stabilizer_dim": info.stabilizer_dim,
+        "is_pure": info.is_pure,
+        "is_full_rank": info.is_full_rank,
+        "purity": float((rho.matrix @ rho.matrix).trace().real),
+        "eigenvalues": list(info.eigenvalues),
+    }
 
 
-def _cmd_split(args) -> int:
-    text = _read(args.infile)
-    rho = _load(text, "density")
+def _split(rho, args) -> dict:
     split = convex_split(rho, tol=args.tol)
-    report = docs.report_document(
-        command="split",
-        inputs={"density": docs.digest(text)},
-        results={
-            "weights": [float(w) for w in split.weights],
-            "components": [docs.matrix_document(c) for c in split.components],
-        },
-        tolerances={"tol": args.tol},
-    )
-    _write(args, report)
-    return EXIT_OK
+    return {
+        "weights": [float(w) for w in split.weights],
+        "components": [docs.matrix_document(c) for c in split.components],
+    }
+
+
+def _bloch(rho, args) -> dict:
+    r = bloch_vector(rho)
+    return {"vector": {"x": r.x, "y": r.y, "z": r.z}}
 
 
 def _cmd_bloch(args) -> int:
-    if args.coords is not None:
-        x, y, z = args.coords
-        rho = density_from_bloch(BlochVector(x, y, z))
-        report = docs.report_document(
-            command="bloch",
-            inputs={},
-            results={"density": docs.matrix_document(rho)},
-            tolerances={},
-        )
-    else:
-        text = _read(args.infile)
-        rho = _load(text, "density")
-        r = bloch_vector(rho)
-        report = docs.report_document(
-            command="bloch",
-            inputs={"density": docs.digest(text)},
-            results={"vector": {"x": r.x, "y": r.y, "z": r.z}},
-            tolerances={},
-        )
+    if args.coords is None:
+        return _cmd_document(args)
+    rho = density_from_bloch(BlochVector(*args.coords))
+    report = docs.report_document(
+        command="bloch",
+        inputs={},
+        results={"density": docs.matrix_document(rho)},
+        tolerances={},
+    )
     _write(args, report)
     return EXIT_OK
 
@@ -226,14 +213,14 @@ def _cmd_verify_dimension(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    config = SamplerConfig(seed=args.seed, n=args.n, mu=args.mu)
+    mu = args.n if args.mu is None else args.mu
+    check_rank_range(args.n, mu)
     if args.kind == "pure":
-        value = random_pure(config.n * config.n, config.seed)
+        value = random_pure(args.n * args.n, args.seed)
     elif args.kind == "unitary":
-        value = random_unitary(config.n, config.seed)
+        value = random_unitary(args.n, args.seed)
     else:
-        mu = config.mu if config.mu is not None else config.n
-        value = random_density(config.n, mu, config.seed)
+        value = random_density(args.n, mu, args.seed)
     _write(args, docs.matrix_document(value))
     return EXIT_OK
 
@@ -254,11 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("purify", help="density document -> canonical purification")
     _add_io(p)
-    p.set_defaults(func=_cmd_purify)
+    p.set_defaults(func=_cmd_document, kind="density", op=lambda rho, args: purify(rho))
 
     p = subs.add_parser("trace", help="pure-state document -> partial trace over B")
     _add_io(p)
-    p.set_defaults(func=_cmd_trace)
+    p.set_defaults(func=_cmd_document, kind="pure_state",
+                   op=lambda psi, args: partial_trace_b(psi))
 
     p = subs.add_parser("connect", help="unitary linking two purifications")
     p.add_argument("--psi", required=True, metavar="FILE", help="first state ('-' for stdin)")
@@ -271,18 +259,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("classify", help="rank and stratum data of a density matrix")
     _add_io(p)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=_cmd_document, kind="density", op=_classify)
 
     p = subs.add_parser("split", help="convex split into rank mu-1 components")
     _add_io(p)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=_cmd_split)
+    p.set_defaults(func=_cmd_document, kind="density", op=_split)
 
     p = subs.add_parser("bloch", help="Bloch vector of a qubit state, or the inverse")
     _add_io(p)
     p.add_argument("--from", dest="coords", nargs=3, type=float, default=None,
                    metavar=("X", "Y", "Z"), help="build the density matrix instead")
-    p.set_defaults(func=_cmd_bloch)
+    p.set_defaults(func=_cmd_bloch, kind="density", op=_bloch)
 
     p = subs.add_parser("verify-dimension",
                         help="check the stratum dimension formula on random samples")
@@ -309,18 +297,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as exc:
+    except (DmgeoError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return next(code for family, code in _EXIT_CODES if isinstance(exc, family))
 
 
 if __name__ == "__main__":

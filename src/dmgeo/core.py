@@ -30,6 +30,7 @@ from .errors import (
     NotPositiveError,
     NotSquareError,
     NotUnitaryError,
+    RankOutOfRangeError,
     TraceNotOneError,
 )
 
@@ -138,6 +139,12 @@ class Unitary:
 def _require_finite(a: np.ndarray):
     if not np.all(np.isfinite(a)):
         raise NotFiniteError("entries must be finite (no NaN or Inf)")
+
+
+def check_rank_range(n: int, mu: int):
+    """Raise :class:`RankOutOfRangeError` unless ``1 <= mu <= n``."""
+    if not 1 <= mu <= n:
+        raise RankOutOfRangeError(f"need 1 <= mu <= n, got n={n}, mu={mu}")
 
 
 def _eigh(m: np.ndarray):

@@ -15,8 +15,15 @@ from itertools import chain
 
 import numpy as np
 
-from .core import DensityMatrix, PureState, Unitary, check_density
-from .errors import DocumentError, NotNormalizedError, NotUnitaryError
+from .core import (
+    DensityMatrix,
+    PureState,
+    Unitary,
+    check_density,
+    make_pure_state,
+    make_unitary,
+)
+from .errors import DocumentError
 
 KINDS = ("density", "pure_state", "unitary")
 
@@ -109,26 +116,19 @@ def from_document(obj) -> "DensityMatrix | PureState | Unitary":
             raise DocumentError(
                 f"pure_state data must hold n^2 = {n * n} amplitudes"
             )
-        amps = _complex_entries(data)
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise NotNormalizedError(f"norm = {norm!r}")
-        return PureState(amps)
+        return make_pure_state(_complex_entries(data), tol=NORM_TOL)
 
     m = _parse_square(obj["data"], n)
     if kind == "density":
         check_density(m, HERMITIAN_TRACE_TOL, psd_tol=PSD_TOL)
         return DensityMatrix(m)
-    dev = float(np.max(np.abs(m.conj().T @ m - np.eye(n))))
-    if dev > UNITARY_TOL:
-        raise NotUnitaryError(f"max |U^dag U - I| = {dev:.3e}")
-    return Unitary(m)
+    return make_unitary(m, tol=UNITARY_TOL)
 
 
 def parse_matrix_document(text: str):
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
     return from_document(obj)
 

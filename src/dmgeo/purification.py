@@ -20,6 +20,7 @@ from .core import (
     Unitary,
     _eigh,
     _fix_phases,
+    _symmetrized_density,
     numerical_rank,
     spectral_decompose,
 )
@@ -81,12 +82,7 @@ def purify(rho: DensityMatrix) -> PureState:
 def partial_trace_b(psi: PureState) -> DensityMatrix:
     """Trace out the ancilla: returns C C^dag, symmetrized and renormalized."""
     c = psi.coefficient_matrix()
-    rho = c @ c.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = float(np.trace(rho).real)
-    if tr != 1.0:
-        rho = rho / tr
-    return DensityMatrix(rho)
+    return _symmetrized_density(c @ c.conj().T)
 
 
 def schmidt(psi: PureState, tol: float = RANK_TOL) -> SchmidtDecomposition:
@@ -114,11 +110,6 @@ def schmidt(psi: PureState, tol: float = RANK_TOL) -> SchmidtDecomposition:
         phase = fixed[j, k] / basis_a[j, k]
         basis_b[:, k] = basis_b[:, k] * phase.conjugate()
     return SchmidtDecomposition(mu, s[:mu].copy(), fixed, basis_b)
-
-
-def schmidt_number(psi: PureState, tol: float = RANK_TOL) -> int:
-    """Number of nonzero Schmidt coefficients at the given tolerance."""
-    return schmidt(psi, tol).mu
 
 
 def apply_local_b(psi: PureState, v: Unitary) -> PureState:

@@ -8,32 +8,12 @@ never on the platform's normal sampler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from .core import DensityMatrix, PureState, Unitary, numerical_rank
+from .core import DensityMatrix, PureState, Unitary, check_rank_range, numerical_rank
 from .errors import RankOutOfRangeError, SamplingExhaustedError
 
 MAX_TRIES = 1000
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Seed plus target shape for one draw."""
-
-    seed: int
-    n: int
-    mu: Optional[int] = None
-
-    def __post_init__(self):
-        if self.mu is not None and not 1 <= self.mu <= self.n:
-            raise RankOutOfRangeError(f"need 1 <= mu <= n, got n={self.n}, mu={self.mu}")
-
-
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
 
 
 def standard_normal(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -64,7 +44,7 @@ def random_pure(dim: int, seed) -> PureState:
     """
     if dim < 1:
         raise RankOutOfRangeError(f"dim = {dim}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     g = complex_normal(rng, dim)
     return PureState(g / np.linalg.norm(g))
 
@@ -73,7 +53,7 @@ def random_unitary(n: int, seed) -> Unitary:
     """Haar unitary via QR of a complex Gaussian with phase-fixed diagonal."""
     if n < 1:
         raise RankOutOfRangeError(f"n = {n}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     g = complex_normal(rng, (n, n))
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
@@ -88,16 +68,21 @@ def _density_draw(rng, n: int, mu: int) -> np.ndarray:
     return rho / float(np.trace(rho).real)
 
 
+def _draw_until(n, mu, seed, accept, max_tries, what) -> DensityMatrix:
+    # draw rank-mu densities until accept(descending eigvalsh spectrum) holds
+    check_rank_range(n, mu)
+    rng = np.random.default_rng(seed)
+    for _ in range(max_tries):
+        rho = _density_draw(rng, n, mu)
+        if accept(np.linalg.eigvalsh(rho)[::-1]):
+            return DensityMatrix(rho)
+    raise SamplingExhaustedError(f"no {what} in {max_tries} tries")
+
+
 def random_density(n: int, mu: int, seed) -> DensityMatrix:
     """Rank-mu density matrix, rho = G G^dag / tr for Gaussian G (n x mu)."""
-    if not 1 <= mu <= n:
-        raise RankOutOfRangeError(f"need 1 <= mu <= n, got n={n}, mu={mu}")
-    rng = _rng(seed)
-    for _ in range(MAX_TRIES):
-        rho = _density_draw(rng, n, mu)
-        if numerical_rank(np.linalg.eigvalsh(rho), 1e-9) == mu:
-            return DensityMatrix(rho)
-    raise SamplingExhaustedError(f"no rank-{mu} draw in {MAX_TRIES} tries")
+    return _draw_until(n, mu, seed, lambda lam: numerical_rank(lam, 1e-9) == mu,
+                       MAX_TRIES, f"rank-{mu} draw")
 
 
 def random_generic_density(
@@ -106,18 +91,12 @@ def random_generic_density(
     """Rank-mu density matrix whose nonzero eigenvalues are pairwise at
     least ``gap`` apart (and at least ``gap`` above the zero block when
     mu < n), suitable for tangent-space checks."""
-    if not 1 <= mu <= n:
-        raise RankOutOfRangeError(f"need 1 <= mu <= n, got n={n}, mu={mu}")
-    rng = _rng(seed)
-    for _ in range(max_tries):
-        rho = _density_draw(rng, n, mu)
-        lam = np.linalg.eigvalsh(rho)[::-1]
+
+    def generic(lam) -> bool:
         top = lam[:mu]
         if mu > 1 and float(np.min(top[:-1] - top[1:])) < gap:
-            continue
-        if mu < n and top[-1] < gap:
-            continue
-        return DensityMatrix(rho)
-    raise SamplingExhaustedError(
-        f"no generic rank-{mu} spectrum with gap {gap:g} in {max_tries} tries"
-    )
+            return False
+        return not (mu < n and top[-1] < gap)
+
+    return _draw_until(n, mu, seed, generic, max_tries,
+                       f"generic rank-{mu} spectrum with gap {gap:g}")

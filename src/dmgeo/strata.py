@@ -19,6 +19,7 @@ from .core import (
     Unitary,
     _symmetrized_density,
     check_hermitian_unit_trace,
+    check_rank_range,
     numerical_rank,
     spectral_decompose,
     validate_density,
@@ -32,7 +33,6 @@ from .errors import (
     NotFiniteError,
     NotPositiveError,
     OutsideBallError,
-    RankOutOfRangeError,
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -92,20 +92,15 @@ class BlochVector:
         return float(np.sqrt(self.x**2 + self.y**2 + self.z**2))
 
 
-def _check_rank_range(n: int, mu: int):
-    if n < 1 or mu < 1 or mu > n:
-        raise RankOutOfRangeError(f"need 1 <= mu <= n, got n={n}, mu={mu}")
-
-
 def stratum_dimension(n: int, mu: int) -> int:
     """Real dimension mu(2n - mu) - 1 of the rank-mu stratum."""
-    _check_rank_range(n, mu)
+    check_rank_range(n, mu)
     return mu * (2 * n - mu) - 1
 
 
 def stabilizer_dimension(n: int, mu: int) -> int:
     """Real dimension (n - mu)^2 of the stabilizer group U(n - mu)."""
-    _check_rank_range(n, mu)
+    check_rank_range(n, mu)
     return (n - mu) ** 2
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dmgeo import core, documents as docs, sampling
 from dmgeo.cli import main as cli_main
@@ -133,10 +135,12 @@ def test_emitted_documents_reparse_bitwise(run_cli):
 
 
 def test_exit_code_parse_error(run_cli):
-    rc, out, err = run_cli(["purify"], stdin_text="not json")
-    assert rc == 2
-    assert out == ""
-    assert "DocumentError" in err
+    # nesting deeper than the recursion limit is a parse error, not a crash
+    for text in ("not json", "[" * 200000):
+        rc, out, err = run_cli(["purify"], stdin_text=text)
+        assert rc == 2
+        assert out == ""
+        assert "DocumentError" in err and "Traceback" not in err
 
 
 def test_exit_code_validation_error(run_cli):
@@ -188,9 +192,14 @@ def test_exit_code_bloch_outside_ball(run_cli):
 
 
 def test_exit_code_sample_rank_range(run_cli):
-    rc, out, err = run_cli(["sample", "--kind", "density", "--n", "2", "--mu", "3", "--seed", "1"])
-    assert rc == 4
-    assert "RankOutOfRange" in err
+    for argv in (
+        ["--kind", "density", "--n", "2", "--mu", "3", "--seed", "1"],
+        ["--kind", "pure", "--n", "-3"],
+        ["--kind", "pure", "--n", "2", "--mu", "5"],
+    ):
+        rc, out, err = run_cli(["sample", *argv])
+        assert (rc, out) == (4, "")
+        assert "RankOutOfRange" in err
 
 
 def test_exit_code_bad_seed(run_cli):
@@ -263,8 +272,13 @@ def test_exit_code_verify_dimension_no_samples(run_cli):
 def test_exit_code_unreadable_input(run_cli, tmp_path):
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe\x00")
-    for path in (str(tmp_path / "missing.json"), str(binary), str(tmp_path)):
-        rc, out, err = run_cli(["purify", "--in", path])
+    for argv in (
+        ["--in", str(tmp_path / "missing.json")],
+        ["--in", str(binary)],
+        ["--in", str(tmp_path)],
+        ["--out", str(tmp_path / "missing" / "out.json")],
+    ):
+        rc, out, err = run_cli(["purify", *argv], stdin_text=HALF_MIX)
         assert (rc, out) == (2, "")
         assert "DocumentError" in err and "Traceback" not in err
 
@@ -274,3 +288,122 @@ def test_exit_code_integer_too_large_for_double(run_cli):
     rc, out, err = run_cli(["trace"], stdin_text=doc)
     assert (rc, out) == (2, "")
     assert "DocumentError" in err and "Traceback" not in err
+
+
+# --- fuzz: every input maps to one documented exit code ---------------------
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=16,
+)
+# leaves on the edges of the codec and of the validation tolerances
+_LEAVES = (
+    st.floats()
+    | st.sampled_from([0, 1, -1, 0.5, 1e-9, -1e-9, 1e-13, 1e-300, 10**400, True, None, "1"])
+    | st.lists(st.just(0), max_size=2)
+)
+_SPECTRA = (
+    [1.0], [0.5, 0.5], [1.0, 0.0], [1 - 1e-9, 1e-9], [0.7, 0.3 - 1e-13, 1e-13],
+    [0.25] * 4, [0.5, 0.5 - 1e-11, 1e-11, 0.0],
+)
+
+
+def _leaf_slots(node):
+    for i, item in enumerate(node):
+        if isinstance(item, list):
+            yield from _leaf_slots(item)
+        else:
+            yield node, i
+
+
+@st.composite
+def _matrix_documents(draw):
+    if draw(st.booleans()):
+        # an emitted document, so that the operations themselves run
+        n = draw(st.integers(1, 4))
+        rho = sampling.random_density(n, draw(st.integers(1, n)), draw(st.integers(0, 99)))
+        doc = docs.matrix_document(draw(st.sampled_from([
+            rho,
+            purify(rho),
+            sampling.random_unitary(n, draw(st.integers(0, 99))),
+            core.validate_density(np.diag(draw(st.sampled_from(_SPECTRA))).astype(complex)),
+        ])))
+    else:
+        n = draw(st.integers(-1, 4))
+        side = max(n, 0)
+        pair = st.lists(_LEAVES, min_size=2, max_size=2)
+        row = st.lists(pair, min_size=side, max_size=side)
+        data = draw(st.lists(row, min_size=side, max_size=side)
+                    | st.lists(pair, min_size=side * side, max_size=side * side))
+        doc = {"kind": draw(st.sampled_from(docs.KINDS)), "n": n, "data": data}
+    if draw(st.booleans()):
+        doc["kind"] = draw(st.sampled_from(docs.KINDS + ("bogus",)))
+    if draw(st.booleans()):
+        doc["n"] = draw(st.integers(-1, 5) | _LEAVES)
+    slots = list(_leaf_slots(doc["data"]))
+    if slots and draw(st.booleans()):
+        node, i = slots[draw(st.integers(0, len(slots) - 1))]
+        node[i] = draw(_LEAVES)
+    if draw(st.integers(0, 9)) == 0:
+        del doc[draw(st.sampled_from(["kind", "n", "data"]))]
+    return json.dumps(doc)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def _check_exit_contract(argv, stdin_text):
+    # no exception leaves main; success prints exactly one strict JSON line
+    with contextlib.redirect_stderr(io.StringIO()):
+        rc, out = call_main(argv, stdin_text)
+    assert rc in {0, 2, 3, 4, 5}
+    if rc == 0:
+        assert out.endswith("\n") and out.count("\n") == 1
+        json.loads(out, parse_constant=_reject_constant)
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    (base / "bell.json").write_text(BELL)
+    return {"bell": str(base / "bell.json"), "missing": str(base / "missing" / "out.json")}
+
+
+_DOCUMENT_COMMANDS = (
+    ["purify"], ["trace"], ["classify"], ["split"], ["bloch"],
+    ["connect", "--psi", "-", "--phi", "{bell}"],
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(_DOCUMENT_COMMANDS),
+    text=st.text() | _JSON.map(json.dumps) | _matrix_documents(),
+    missing_out=st.integers(0, 9).map(lambda k: k == 0),
+)
+@example(command=["purify"], text="[" * 200000, missing_out=False)
+@example(command=["purify"], text=HALF_MIX, missing_out=True)
+def test_fuzz_document_commands(fuzz_paths, command, text, missing_out):
+    argv = [a.format(**fuzz_paths) for a in command]
+    if missing_out:
+        argv += ["--out", fuzz_paths["missing"]]
+    _check_exit_contract(argv, text)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["pure", "unitary", "density"]),
+    n=st.integers(-3, 4),
+    mu=st.none() | st.integers(-3, 5),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(kind="pure", n=-3, mu=None, seed=0)
+def test_fuzz_sample(kind, n, mu, seed):
+    argv = ["sample", "--kind", kind, "--n", str(n), "--seed", str(seed)]
+    if mu is not None:
+        argv += ["--mu", str(mu)]
+    _check_exit_contract(argv, "")

@@ -110,7 +110,7 @@ def test_schmidt_squares_match_reduced_spectrum():
 
 def test_schmidt_number_of_rank_two_purification():
     psi = pf.purify(sampling.random_density(3, 2, 21))
-    assert pf.schmidt_number(psi) == 2
+    assert pf.schmidt(psi).mu == 2
 
 
 def test_apply_local_b_identity():

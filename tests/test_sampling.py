@@ -1,7 +1,10 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
-from dmgeo import core, sampling, strata
+from dmgeo import cli, core, sampling, strata
 from dmgeo.errors import NotSquareError, RankOutOfRangeError, SamplingExhaustedError
 
 
@@ -111,8 +114,10 @@ def test_density_rank_out_of_range():
         sampling.random_density(2, 3, 0)
     with pytest.raises(RankOutOfRangeError):
         sampling.random_density(2, 0, 0)
-    with pytest.raises(RankOutOfRangeError):
-        sampling.SamplerConfig(seed=0, n=2, mu=5)
+    for argv in (["--n", "-3"], ["--n", "2", "--mu", "5"]):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert cli.main(["sample", "--kind", "pure", *argv]) == 4
+        assert "RankOutOfRange" in err.getvalue()
 
 
 def test_full_rank_spectra_strictly_positive():
