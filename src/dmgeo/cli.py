@@ -2,8 +2,8 @@
 
 One subcommand per analysis; matrix documents in, matrix documents or
 report documents out.  Exit codes: 0 ok, 1 verification mismatch,
-2 parse/usage error, 3 validation error, 4 precondition error,
-5 numerical failure.
+2 parse/usage error, 3 validation error, 4 precondition error or
+input too large to allocate, 5 numerical failure.
 """
 
 from __future__ import annotations
@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import documents as docs
-from .core import DensityMatrix, PureState, Unitary, check_rank_range, ray_distance
+from .core import RANK_TOL, check_rank_range, ray_distance
 from .errors import (
     DmgeoError,
     DocumentError,
@@ -22,7 +20,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .purification import apply_local_b, connecting_unitary, partial_trace_b, purify
+from .purification import CONNECT_TOL, apply_local_b, connecting_unitary, partial_trace_b, purify
 from .sampling import random_density, random_generic_density, random_pure, random_unitary
 from .strata import (
     BlochVector,
@@ -46,7 +44,8 @@ _EXIT_CODES = (
     (DocumentError, EXIT_PARSE),
     (ValidationError, EXIT_VALIDATION),
     (PreconditionError, EXIT_PRECONDITION),
-    ((NumericalError, np.linalg.LinAlgError), EXIT_NUMERICAL),
+    (NumericalError, EXIT_NUMERICAL),
+    (MemoryError, EXIT_PRECONDITION),
 )
 
 #: residual bound for the connect subcommand
@@ -98,21 +97,11 @@ def _write(args, doc: dict):
         raise DocumentError(f"cannot write {args.out}: {exc}") from exc
 
 
-_KIND_TYPES = {"density": DensityMatrix, "pure_state": PureState, "unitary": Unitary}
-
-
-def _load(text: str, kind: str):
-    value = docs.parse_matrix_document(text)
-    if not isinstance(value, _KIND_TYPES[kind]):
-        raise DocumentError(f"expected a {kind} document")
-    return value
-
-
 def _cmd_document(args) -> int:
     # read one document of args.kind; args.op returns a typed value, written
     # as a matrix document, or a results dict, written as a report
     text = _read(args.infile)
-    out = args.op(_load(text, args.kind), args)
+    out = args.op(docs.parse_matrix_document(text, args.kind), args)
     if isinstance(out, dict):
         out = docs.report_document(
             command=args.command,
@@ -131,8 +120,8 @@ def _cmd_connect(args) -> int:
         raise DocumentError("only one of --psi/--phi may read stdin")
     psi_text = _read(args.psi)
     phi_text = _read(args.phi)
-    psi = _load(psi_text, "pure_state")
-    phi = _load(phi_text, "pure_state")
+    psi = docs.parse_matrix_document(psi_text, "pure_state")
+    phi = docs.parse_matrix_document(phi_text, "pure_state")
     v = connecting_unitary(psi, phi, tol=args.tol)
     residual = ray_distance(apply_local_b(psi, v), phi)
     ok = residual <= RESIDUAL_BOUND
@@ -251,19 +240,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("connect", help="unitary linking two purifications")
     p.add_argument("--psi", required=True, metavar="FILE", help="first state ('-' for stdin)")
     p.add_argument("--phi", required=True, metavar="FILE", help="second state ('-' for stdin)")
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=float, default=CONNECT_TOL,
                    help="entrywise bound on the partial-trace mismatch")
     _add_io(p, infile=False)
     p.set_defaults(func=_cmd_connect)
 
     p = subs.add_parser("classify", help="rank and stratum data of a density matrix")
     _add_io(p)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=RANK_TOL)
     p.set_defaults(func=_cmd_document, kind="density", op=_classify)
 
     p = subs.add_parser("split", help="convex split into rank mu-1 components")
     _add_io(p)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=RANK_TOL)
     p.set_defaults(func=_cmd_document, kind="density", op=_split)
 
     p = subs.add_parser("bloch", help="Bloch vector of a qubit state, or the inverse")
@@ -278,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=int, required=True)
     p.add_argument("--samples", type=_count, default=20)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=RANK_TOL)
     _add_io(p, infile=False)
     p.set_defaults(func=_cmd_verify_dimension)
 
@@ -297,7 +286,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DmgeoError, np.linalg.LinAlgError) as exc:
+    except (DmgeoError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for family, code in _EXIT_CODES if isinstance(exc, family))
 

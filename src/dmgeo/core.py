@@ -46,6 +46,9 @@ CLUSTER_GAP = 1e-10
 #: default tolerance for the validation entry points
 VALIDATION_TOL = 1e-10
 
+#: bound on |norm - 1| accepted by make_pure_state
+NORM_TOL = 1e-12
+
 
 def _frozen(a, dtype=complex) -> np.ndarray:
     out = np.array(a, dtype=dtype)
@@ -147,9 +150,11 @@ def check_rank_range(n: int, mu: int):
         raise RankOutOfRangeError(f"need 1 <= mu <= n, got n={n}, mu={mu}")
 
 
-def _eigh(m: np.ndarray):
+def _lapack(fn, *args, **kwargs):
+    """Call the ``np.linalg`` routine ``fn``; a LinAlgError becomes
+    :class:`DecompositionFailureError`."""
     try:
-        return np.linalg.eigh(m)
+        return fn(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailureError(str(exc)) from exc
 
@@ -165,11 +170,14 @@ def check_hermitian_unit_trace(m: np.ndarray, tol: float):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquareError(f"shape {m.shape}")
     _require_finite(m)
-    herm_dev = float(np.max(np.abs(m - m.conj().T)))
-    if herm_dev > tol:
+    # finite entries can still overflow to inf or nan here; every comparison
+    # below is written so that a nan fails it
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm_dev = float(np.max(np.abs(m - m.conj().T)))
+        trace = complex(np.trace(m))
+    if not herm_dev <= tol:
         raise NotHermitianError(herm_dev)
-    trace = complex(np.trace(m))
-    if abs(trace - 1.0) > tol:
+    if not abs(trace - 1.0) <= tol:
         raise TraceNotOneError(trace)
 
 
@@ -195,11 +203,10 @@ def check_density(m: np.ndarray, tol: float, psd_tol: float | None = None):
     if psd_tol is None:
         psd_tol = tol
     check_hermitian_unit_trace(m, tol)
-    try:
-        smallest = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionFailureError(str(exc)) from exc
-    if smallest < -psd_tol:
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = 0.5 * (m + m.conj().T)
+    smallest = float(_lapack(np.linalg.eigvalsh, h)[0])
+    if not smallest >= -psd_tol:
         raise NotPositiveError(smallest)
 
 
@@ -232,35 +239,39 @@ def _symmetrized_density(a: np.ndarray) -> DensityMatrix:
     """Wrap ``(a + a^dag)/2``, renormalized to unit trace, without checks."""
     h = 0.5 * (a + a.conj().T)
     tr = float(np.trace(h).real)
-    # skip the division when the trace is already exact so that parsing an
-    # emitted document reproduces the stored array bit for bit
+    # numpy's complex division by 1.0 turns -0.0 into +0.0, so dividing by an
+    # exact unit trace would change the signed zeros of emitted documents
     if tr != 1.0:
         h = h / tr
     return DensityMatrix(h)
 
 
-def make_pure_state(amplitudes, tol: float = 1e-12) -> PureState:
-    """Wrap a complex vector as a :class:`PureState` after a norm check.
+def make_pure_state(amplitudes) -> PureState:
+    """Wrap a complex vector as a :class:`PureState` after checking that its
+    norm is within ``NORM_TOL`` of one.
 
     The vector is not renormalized; callers that construct states
     analytically should normalize first.
     """
     a = np.asarray(amplitudes, dtype=complex).reshape(-1)
     _require_finite(a)
-    nrm = float(np.linalg.norm(a))
-    if abs(nrm - 1.0) > tol:
+    with np.errstate(over="ignore", invalid="ignore"):
+        nrm = float(np.linalg.norm(a))
+    if not abs(nrm - 1.0) <= NORM_TOL:
         raise NotNormalizedError(f"norm = {nrm!r}")
     return PureState(a)
 
 
-def make_unitary(matrix, tol: float = VALIDATION_TOL) -> Unitary:
-    """Wrap a square matrix as a :class:`Unitary` after checking U^dag U = I."""
+def make_unitary(matrix) -> Unitary:
+    """Wrap a square matrix as a :class:`Unitary` after checking U^dag U = I
+    within ``VALIDATION_TOL``."""
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSquareError(f"shape {a.shape}")
     _require_finite(a)
-    dev = float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
-    if dev > tol:
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
+    if not dev <= VALIDATION_TOL:
         raise NotUnitaryError(f"max |U^dag U - I| = {dev:.3e}")
     return Unitary(a)
 
@@ -315,7 +326,7 @@ def spectral_decompose(rho: DensityMatrix) -> SpectralDecomposition:
     -------
     SpectralDecomposition
     """
-    values, vectors = _eigh(rho.matrix)
+    values, vectors = _lapack(np.linalg.eigh, rho.matrix)
     values = values[::-1].copy()
     vectors = vectors[:, ::-1]
     vectors = _fix_phases(vectors)

@@ -16,6 +16,7 @@ from itertools import chain
 import numpy as np
 
 from .core import (
+    VALIDATION_TOL,
     DensityMatrix,
     PureState,
     Unitary,
@@ -27,12 +28,9 @@ from .errors import DocumentError
 
 KINDS = ("density", "pure_state", "unitary")
 
-# tolerances at which parsed documents are accepted; emitted documents
-# satisfy these by construction, hand-written ones must as well
+# Hermiticity and trace tolerance at which density documents are accepted;
+# emitted documents satisfy it by construction, hand-written ones must as well
 HERMITIAN_TRACE_TOL = 1e-12
-PSD_TOL = 1e-10
-NORM_TOL = 1e-12
-UNITARY_TOL = 1e-10
 
 
 def _check_pairs(entries):
@@ -90,22 +88,25 @@ def matrix_document(value) -> dict:
     return {"kind": kind, "n": value.n, "data": data}
 
 
-def from_document(obj) -> "DensityMatrix | PureState | Unitary":
+def from_document(obj, kind=None) -> "DensityMatrix | PureState | Unitary":
     """Build the typed value a document describes.
 
-    Structural problems raise :class:`DocumentError`; a well-formed
-    document whose numbers violate the type invariants raises the
-    matching validation error instead.  Values are wrapped without
-    transformation so round-trips are exact.
+    Structural problems, and a document whose kind is not ``kind`` when
+    one is given, raise :class:`DocumentError`; a well-formed document
+    whose numbers violate the type invariants raises the matching
+    validation error instead.  Values are wrapped without transformation
+    so round-trips are exact.
     """
     if not isinstance(obj, dict):
         raise DocumentError("document is not a JSON object")
     missing = {"kind", "n", "data"} - set(obj)
     if missing:
         raise DocumentError(f"missing fields: {sorted(missing)}")
+    if obj["kind"] not in KINDS:
+        raise DocumentError(f"unknown kind {obj['kind']!r}")
+    if kind not in (None, obj["kind"]):
+        raise DocumentError(f"expected a {kind} document")
     kind = obj["kind"]
-    if kind not in KINDS:
-        raise DocumentError(f"unknown kind {kind!r}")
     n = obj["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise DocumentError(f"n must be a positive integer, got {n!r}")
@@ -116,21 +117,21 @@ def from_document(obj) -> "DensityMatrix | PureState | Unitary":
             raise DocumentError(
                 f"pure_state data must hold n^2 = {n * n} amplitudes"
             )
-        return make_pure_state(_complex_entries(data), tol=NORM_TOL)
+        return make_pure_state(_complex_entries(data))
 
     m = _parse_square(obj["data"], n)
     if kind == "density":
-        check_density(m, HERMITIAN_TRACE_TOL, psd_tol=PSD_TOL)
+        check_density(m, HERMITIAN_TRACE_TOL, psd_tol=VALIDATION_TOL)
         return DensityMatrix(m)
-    return make_unitary(m, tol=UNITARY_TOL)
+    return make_unitary(m)
 
 
-def parse_matrix_document(text: str):
+def parse_matrix_document(text: str, kind=None):
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
-    return from_document(obj)
+    return from_document(obj, kind)
 
 
 def report_document(

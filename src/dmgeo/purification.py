@@ -18,17 +18,13 @@ from .core import (
     DensityMatrix,
     PureState,
     Unitary,
-    _eigh,
     _fix_phases,
+    _lapack,
     _symmetrized_density,
     numerical_rank,
     spectral_decompose,
 )
-from .errors import (
-    DecompositionFailureError,
-    DimensionMismatchError,
-    PartialTraceMismatchError,
-)
+from .errors import DimensionMismatchError, PartialTraceMismatchError
 
 #: eigenvalues below this (relative to the largest) are treated as exact
 #: zeros when purifying; sqrt of eigensolver noise would otherwise inject
@@ -96,10 +92,7 @@ def schmidt(psi: PureState, tol: float = RANK_TOL) -> SchmidtDecomposition:
     phase moves to the B side so the state is unchanged.
     """
     c = psi.coefficient_matrix()
-    try:
-        u, s, vh = np.linalg.svd(c)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionFailureError(str(exc)) from exc
+    u, s, vh = _lapack(np.linalg.svd, c)
     mu = numerical_rank(s, tol)
     basis_a = u[:, :mu].copy()
     basis_b = vh[:mu, :].T.copy()
@@ -134,7 +127,7 @@ def _orthonormal_frame(c: np.ndarray, support: np.ndarray, inv_sqrt: np.ndarray)
     # orthonormal and hands back an orthonormal kernel basis for free
     mu = support.shape[1]
     raw = c.conj().T @ support * inv_sqrt
-    x, _, yh = np.linalg.svd(raw, full_matrices=True)
+    x, _, yh = _lapack(np.linalg.svd, raw, full_matrices=True)
     return x[:, :mu] @ yh, x[:, mu:]
 
 
@@ -166,20 +159,17 @@ def connecting_unitary(
 
     rho = 0.5 * (rho_psi + rho_phi)
     rho = 0.5 * (rho + rho.conj().T)
-    lam, vec = _eigh(rho)
+    lam, vec = _lapack(np.linalg.eigh, rho)
     lam = lam[::-1]
     vec = vec[:, ::-1]
     mu = int(np.count_nonzero(lam > SUPPORT_CUT * lam[0]))
     support = vec[:, :mu]
     inv_sqrt = 1.0 / np.sqrt(lam[:mu])
 
-    try:
-        b_psi, k_psi = _orthonormal_frame(c_psi, support, inv_sqrt)
-        b_phi, k_phi = _orthonormal_frame(c_phi, support, inv_sqrt)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionFailureError(str(exc)) from exc
+    b_psi, k_psi = _orthonormal_frame(c_psi, support, inv_sqrt)
+    b_phi, k_phi = _orthonormal_frame(c_phi, support, inv_sqrt)
 
     v = (b_psi @ b_phi.conj().T + k_psi @ k_phi.conj().T).T
-    det = complex(np.linalg.det(v))
+    det = complex(_lapack(np.linalg.det, v))
     v = v * det ** (-1.0 / n)
     return Unitary(v)

@@ -10,7 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DensityMatrix, PureState, Unitary, check_rank_range, numerical_rank
+from .core import (
+    DensityMatrix,
+    PureState,
+    Unitary,
+    _lapack,
+    _symmetrized_density,
+    check_rank_range,
+    numerical_rank,
+)
 from .errors import RankOutOfRangeError, SamplingExhaustedError
 
 MAX_TRIES = 1000
@@ -55,39 +63,31 @@ def random_unitary(n: int, seed) -> Unitary:
         raise RankOutOfRangeError(f"n = {n}")
     rng = np.random.default_rng(seed)
     g = complex_normal(rng, (n, n))
-    q, r = np.linalg.qr(g)
+    q, r = _lapack(np.linalg.qr, g)
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
     return Unitary(q)
 
 
-def _density_draw(rng, n: int, mu: int) -> np.ndarray:
-    g = complex_normal(rng, (n, mu))
-    rho = g @ g.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / float(np.trace(rho).real)
-
-
-def _draw_until(n, mu, seed, accept, max_tries, what) -> DensityMatrix:
-    # draw rank-mu densities until accept(descending eigvalsh spectrum) holds
+def _draw_until(n, mu, seed, accept, what) -> DensityMatrix:
+    # draw rank-mu densities G G^dag / tr until accept(descending eigvalsh
+    # spectrum) holds
     check_rank_range(n, mu)
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
-        rho = _density_draw(rng, n, mu)
-        if accept(np.linalg.eigvalsh(rho)[::-1]):
-            return DensityMatrix(rho)
-    raise SamplingExhaustedError(f"no {what} in {max_tries} tries")
+    for _ in range(MAX_TRIES):
+        g = complex_normal(rng, (n, mu))
+        rho = _symmetrized_density(g @ g.conj().T)
+        if accept(_lapack(np.linalg.eigvalsh, rho.matrix)[::-1]):
+            return rho
+    raise SamplingExhaustedError(f"no {what} in {MAX_TRIES} tries")
 
 
 def random_density(n: int, mu: int, seed) -> DensityMatrix:
     """Rank-mu density matrix, rho = G G^dag / tr for Gaussian G (n x mu)."""
-    return _draw_until(n, mu, seed, lambda lam: numerical_rank(lam, 1e-9) == mu,
-                       MAX_TRIES, f"rank-{mu} draw")
+    return _draw_until(n, mu, seed, lambda lam: numerical_rank(lam) == mu, f"rank-{mu} draw")
 
 
-def random_generic_density(
-    n: int, mu: int, seed, gap: float = 1e-3, max_tries: int = MAX_TRIES
-) -> DensityMatrix:
+def random_generic_density(n: int, mu: int, seed, gap: float = 1e-3) -> DensityMatrix:
     """Rank-mu density matrix whose nonzero eigenvalues are pairwise at
     least ``gap`` apart (and at least ``gap`` above the zero block when
     mu < n), suitable for tangent-space checks."""
@@ -98,5 +98,4 @@ def random_generic_density(
             return False
         return not (mu < n and top[-1] < gap)
 
-    return _draw_until(n, mu, seed, generic, max_tries,
-                       f"generic rank-{mu} spectrum with gap {gap:g}")
+    return _draw_until(n, mu, seed, generic, f"generic rank-{mu} spectrum with gap {gap:g}")

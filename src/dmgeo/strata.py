@@ -17,6 +17,7 @@ from .core import (
     RANK_TOL,
     DensityMatrix,
     Unitary,
+    _lapack,
     _symmetrized_density,
     check_hermitian_unit_trace,
     check_rank_range,
@@ -190,7 +191,7 @@ def tangent_space_rank(rho: DensityMatrix, tol: float = TANGENT_TOL) -> int:
         return 0
     stack = np.array(rows)
 
-    s = np.linalg.svd(stack, compute_uv=False)
+    s = _lapack(np.linalg.svd, stack, compute_uv=False)
     rank = int(np.count_nonzero(s > tol * s[0]))
     if 0 < rank < s.size and s[rank] > 0.0 and s[rank - 1] / s[rank] < GAP_RATIO:
         raise AmbiguousRankError(

@@ -143,12 +143,26 @@ def test_exit_code_parse_error(run_cli):
         assert "DocumentError" in err and "Traceback" not in err
 
 
+def _diagonal_density_text(diagonal) -> str:
+    n = len(diagonal)
+    data = [[[x if i == j else 0, 0] for j in range(n)] for i, x in enumerate(diagonal)]
+    return json.dumps({"kind": "density", "n": n, "data": data})
+
+
 def test_exit_code_validation_error(run_cli):
-    doc = '{"kind": "density", "n": 2, "data": [[[1.0, 0], [0, 0]], [[0, 0], [0.1, 0]]]}'
-    rc, out, err = run_cli(["purify"], stdin_text=doc)
-    assert rc == 3
-    assert out == ""
-    assert "TraceNotOne" in err
+    # finite entries whose sums overflow must fail validation (a nan compares
+    # false) and print no numpy warning ahead of the one error line
+    for command, doc, code in (
+        ("purify", '{"kind": "density", "n": 2, "data": [[[1.0, 0], [0, 0]], [[0, 0], [0.1, 0]]]}',
+         "TraceNotOne"),
+        ("purify", _diagonal_density_text([1.7e308, 1.7e308, -1.7e308, -1.7e308, 0, 0, 0, 0]),
+         "TraceNotOne"),
+        ("trace", '{"kind": "pure_state", "n": 1, "data": [[1e300, 0]]}', "NotNormalized"),
+    ):
+        rc, out, err = run_cli([command], stdin_text=doc)
+        assert rc == 3
+        assert out == ""
+        assert err.startswith(f"error: {code}:") and err.count("\n") == 1
 
 
 def test_exit_code_wrong_amplitude_count(run_cli):
@@ -159,9 +173,15 @@ def test_exit_code_wrong_amplitude_count(run_cli):
 
 
 def test_exit_code_wrong_kind(run_cli):
-    rc, out, err = run_cli(["purify"], stdin_text=BELL)
-    assert rc == 2
-    assert "expected a density" in err
+    # the kind is checked before the numbers, so an invalid density is still
+    # the wrong kind for trace
+    for command, doc, expected in (
+        ("purify", BELL, "density"),
+        ("trace", density_doc_text([0.5, 0.5]).replace("0.5", "0.7"), "pure_state"),
+    ):
+        rc, out, err = run_cli([command], stdin_text=doc)
+        assert (rc, out) == (2, "")
+        assert f"expected a {expected}" in err
 
 
 def test_exit_code_connect_mismatch(run_cli, tmp_path):
@@ -281,6 +301,58 @@ def test_exit_code_unreadable_input(run_cli, tmp_path):
         rc, out, err = run_cli(["purify", *argv], stdin_text=HALF_MIX)
         assert (rc, out) == (2, "")
         assert "DocumentError" in err and "Traceback" not in err
+
+
+# every subcommand that reaches each LAPACK routine, with the input it needs
+_LAPACK_REACH = {
+    "eigh": ("purify", "classify", "split", "connect", "verify-dimension"),
+    "eigvalsh": ("purify", "classify", "split", "bloch", "sample-density", "verify-dimension"),
+    "svd": ("connect", "verify-dimension"),
+    "qr": ("sample-unitary",),
+    "det": ("connect",),
+}
+
+
+def _lapack_runs(bell_path):
+    return {
+        **{name: ([name], HALF_MIX) for name in ("purify", "classify", "split", "bloch")},
+        "trace": (["trace"], BELL),
+        "connect": (["connect", "--psi", "-", "--phi", bell_path], BELL),
+        "verify-dimension": (["verify-dimension", "--n", "3", "--mu", "2", "--samples", "1"], ""),
+        "sample-density": (["sample", "--kind", "density", "--n", "2"], ""),
+        "sample-unitary": (["sample", "--kind", "unitary", "--n", "2"], ""),
+        "sample-pure": (["sample", "--kind", "pure", "--n", "2"], ""),
+    }
+
+
+@pytest.mark.parametrize("routine", sorted(_LAPACK_REACH))
+def test_exit_code_lapack_failure(routine, monkeypatch, tmp_path):
+    bell_path = tmp_path / "bell.json"
+    bell_path.write_text(BELL)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected failure")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    for name, (argv, stdin_text) in _lapack_runs(str(bell_path)).items():
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            rc, out = call_main(argv, stdin_text)
+        if name in _LAPACK_REACH[routine]:
+            assert (rc, out) == (5, ""), name
+            assert err.getvalue() == "error: DecompositionFailure: injected failure\n", name
+        else:
+            assert rc == 0, name
+
+
+def test_exit_code_out_of_memory(monkeypatch):
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 596. GiB for an array")
+
+    monkeypatch.setattr(np.linalg, "qr", fail)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        rc, out = call_main(["sample", "--kind", "unitary", "--n", "2"])
+    assert (rc, out) == (4, "")
+    assert err.getvalue() == "error: Unable to allocate 596. GiB for an array\n"
 
 
 def test_exit_code_integer_too_large_for_double(run_cli):

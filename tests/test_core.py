@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dmgeo import core, sampling
+from dmgeo import core, purification, sampling, strata
 from dmgeo.errors import (
+    DecompositionFailureError,
     DimensionMismatchError,
     NotHermitianError,
     NotPositiveError,
@@ -164,3 +165,22 @@ def test_ray_distance_pseudometric():
 def test_ray_distance_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         core.ray_distance(sampling.random_pure(4, 0), sampling.random_pure(9, 0))
+
+
+def test_lapack_failure_raises_decomposition_failure(monkeypatch):
+    rho = sampling.random_density(3, 2, 0)
+    psi = purification.purify(rho)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected failure")
+
+    for routine, call in (
+        ("svd", lambda: strata.tangent_space_rank(rho)),
+        ("qr", lambda: sampling.random_unitary(2, 0)),
+        ("eigvalsh", lambda: sampling.random_density(2, 2, 0)),
+        ("det", lambda: purification.connecting_unitary(psi, psi)),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, routine, fail)
+            with pytest.raises(DecompositionFailureError, match="injected failure"):
+                call()

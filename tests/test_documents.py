@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dmgeo import core, documents as docs, sampling
 from dmgeo.errors import (
@@ -34,6 +35,39 @@ def test_unitary_roundtrip_bitwise():
     back = docs.parse_matrix_document(docs.dumps(docs.matrix_document(u)))
     assert isinstance(back, core.Unitary)
     np.testing.assert_array_equal(back.matrix, u.matrix)
+
+
+def _signed_zeros(node, signs):
+    # give every exact zero leaf the next drawn sign
+    for i, item in enumerate(node):
+        if isinstance(item, list):
+            _signed_zeros(item, signs)
+        elif item == 0.0:
+            node[i] = -0.0 if next(signs) else 0.0
+
+
+@st.composite
+def emitted_documents(draw):
+    n = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    value = draw(st.sampled_from([
+        sampling.random_density(n, draw(st.integers(1, n)), seed),
+        sampling.random_pure(n * n, seed),
+        sampling.random_unitary(n, seed),
+        # exact zeros, which a document may carry with either sign
+        core.DensityMatrix(np.diag(np.full(n, 1.0 / n))),
+        core.PureState(np.eye(n * n)[0]),
+        core.Unitary(np.diag([1.0, -1.0] * n)[:n, :n]),
+    ]))
+    doc = docs.matrix_document(value)
+    _signed_zeros(doc["data"], iter(draw(st.lists(st.booleans(), min_size=2 * n * n))))
+    return docs.dumps(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(emitted_documents())
+def test_codec_roundtrip_property(text):
+    assert docs.dumps(docs.matrix_document(docs.parse_matrix_document(text))) == text
 
 
 def test_awkward_floats_roundtrip():
@@ -96,6 +130,17 @@ def test_parse_validation_failures():
         docs.parse_matrix_document(
             '{"kind": "unitary", "n": 2, "data": [[[2, 0], [0, 0]], [[0, 0], [1, 0]]]}'
         )
+    # U^dag U overflows to nan, and a nan deviation must fail the check
+    with pytest.raises(NotUnitaryError):
+        docs.parse_matrix_document(
+            '{"kind": "unitary", "n": 2, "data": '
+            '[[[1e300, 0], [1e300, 1e300]], [[1e300, 0], [-1e300, -1e300]]]}'
+        )
+    # the trace sums to inf - inf = nan
+    diagonal = [1.7e308, 1.7e308, -1.7e308, -1.7e308, 0, 0, 0, 0]
+    data = [[[x if i == j else 0, 0] for j in range(8)] for i, x in enumerate(diagonal)]
+    with pytest.raises(TraceNotOneError):
+        docs.parse_matrix_document(json.dumps({"kind": "density", "n": 8, "data": data}))
 
 
 def test_large_integer_entries_parse_like_float():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dmgeo import core, purification as pf, sampling
 from dmgeo.errors import DimensionMismatchError, PartialTraceMismatchError
@@ -80,6 +81,36 @@ def test_schmidt_diagonal_coefficients():
     # independent check: squared coefficients are the reduced eigenvalues
     lam = np.linalg.eigvalsh(psi.coefficient_matrix() @ psi.coefficient_matrix().conj().T)
     np.testing.assert_allclose(sorted(dec.coefficients**2), lam[-2:], atol=1e-14)
+
+
+_NEAR = st.sampled_from([0.0, 0.5, 0.99, 1.0, 1.01, 2.0])
+
+
+@st.composite
+def edge_spectra(draw, split, cut):
+    # a density conjugated by a random unitary: repeated levels moved apart by
+    # draws of split times CLUSTER_GAP, and a tail of eigenvalues at multiples
+    # of the relative cut near 1
+    n = draw(st.integers(2, 6))
+    mu = draw(st.integers(1, n))
+    levels = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=mu))
+    head = np.array([draw(st.sampled_from(levels)) for _ in range(mu)])
+    head /= head.sum()
+    head += np.array([draw(split) for _ in range(mu)]) * core.CLUSTER_GAP
+    tail = [draw(_NEAR) * cut * head.max() for _ in range(n - mu)]
+    u = sampling.random_unitary(n, draw(st.integers(0, 2**32 - 1))).matrix
+    m = (u * np.concatenate([head, tail])) @ u.conj().T
+    return core.validate_density(m / np.trace(m).real)
+
+
+# levels stay exactly repeated: a split below CLUSTER_GAP lets the cluster
+# ordering pair a vector with its neighbour's value, an error up to the split
+# that exceeds 1e-11 (e.g. [[0.5, -2e-11], [-2e-11, 0.5]] comes back 4e-11 off)
+@settings(max_examples=100, deadline=None)
+@given(edge_spectra(st.just(0.0), pf.PURIFY_CLAMP))
+def test_roundtrip_property(rho):
+    back = pf.partial_trace_b(pf.purify(rho))
+    assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-11
 
 
 def test_schmidt_invariants_random():
@@ -208,6 +239,18 @@ def test_connecting_degenerate_and_deficient():
         assert abs(np.linalg.det(v.matrix) - 1.0) <= 1e-9
         unit_dev = np.abs(v.matrix.conj().T @ v.matrix - np.eye(n))
         assert np.max(unit_dev) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_spectra(_NEAR, pf.SUPPORT_CUT) | edge_spectra(_NEAR, pf.PURIFY_CLAMP),
+       st.integers(0, 2**32 - 1))
+def test_connecting_property(rho, seed):
+    base = pf.purify(rho)
+    psi = pf.apply_local_b(base, sampling.random_unitary(rho.n, seed))
+    phi = pf.apply_local_b(base, sampling.random_unitary(rho.n, seed + 1))
+    v = pf.connecting_unitary(psi, phi)
+    assert core.ray_distance(pf.apply_local_b(psi, v), phi) <= 1e-9
+    assert abs(np.linalg.det(v.matrix) - 1.0) <= 1e-9
 
 
 def test_connecting_rejects_mismatched_traces():

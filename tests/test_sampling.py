@@ -144,4 +144,4 @@ def test_generic_density_gap():
 def test_generic_density_exhaustion():
     # four eigenvalues summing to one cannot be pairwise 0.5 apart
     with pytest.raises(SamplingExhaustedError):
-        sampling.random_generic_density(4, 4, 7, gap=0.5, max_tries=50)
+        sampling.random_generic_density(4, 4, 7, gap=0.5)
