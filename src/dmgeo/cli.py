@@ -287,7 +287,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (DmgeoError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        text = str(exc)
+        if isinstance(exc, MemoryError):
+            # numpy's allocation failure carries no code of its own
+            text = f"OutOfMemory: {text}" if text else "OutOfMemory"
+        print(f"error: {text}", file=sys.stderr)
         return next(code for family, code in _EXIT_CODES if isinstance(exc, family))
 
 

@@ -276,38 +276,31 @@ def make_unitary(matrix) -> Unitary:
     return Unitary(a)
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        significant = np.flatnonzero(np.abs(col) > PHASE_EPS)
-        if significant.size == 0:
-            continue
-        pivot = col[significant[0]]
-        out[:, k] = col * (pivot.conjugate() / abs(pivot))
-    return out
+def _phases(vectors: np.ndarray) -> np.ndarray:
+    """Unit phase per column that makes its first component of modulus above
+    ``PHASE_EPS`` real and positive.
+
+    A unit column always has such a component.  The modulus is taken with
+    ``np.hypot``, which rounds like the scalar ``abs`` of a complex number.
+    Callers scale column k as ``(v.T * phases[:, None]).T``: each column
+    times its phase as a scalar, which rounds the same for every column
+    length, while ``v * phases`` rounds differently for a 1 x 1 ``v``.
+    """
+    rows = np.argmax(np.abs(vectors) > PHASE_EPS, axis=0)
+    pivots = vectors[rows, np.arange(vectors.shape[1])]
+    return pivots.conj() / np.hypot(pivots.real, pivots.imag)
 
 
-def _order_degenerate_clusters(values: np.ndarray, vectors: np.ndarray):
+def _order_degenerate_clusters(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     # clusters are maximal runs of descending eigenvalues whose consecutive
     # gaps stay below CLUSTER_GAP; inside a cluster any basis is as good as
     # any other, so pick the one with descending lexicographic real parts.
     # Only the vectors move: the values stay exactly descending, and the
     # pairing error this can introduce is bounded by the cluster spread.
-    n = values.size
-    order = list(range(n))
-    start = 0
-    for stop in range(1, n + 1):
-        if stop == n or values[stop - 1] - values[stop] >= CLUSTER_GAP:
-            if stop - start > 1:
-                block = sorted(
-                    order[start:stop],
-                    key=lambda k: tuple(vectors[:, k].real),
-                    reverse=True,
-                )
-                order[start:stop] = block
-            start = stop
-    return values, vectors[:, order]
+    cluster = np.concatenate(([0], np.cumsum(values[:-1] - values[1:] >= CLUSTER_GAP)))
+    # lexsort's last key is the primary one; negated keys sort descending
+    # and the stable sort keeps equal columns in their eigh order
+    return vectors[:, np.lexsort((*-vectors.real[::-1], cluster))]
 
 
 def spectral_decompose(rho: DensityMatrix) -> SpectralDecomposition:
@@ -329,8 +322,7 @@ def spectral_decompose(rho: DensityMatrix) -> SpectralDecomposition:
     values, vectors = _lapack(np.linalg.eigh, rho.matrix)
     values = values[::-1].copy()
     vectors = vectors[:, ::-1]
-    vectors = _fix_phases(vectors)
-    values, vectors = _order_degenerate_clusters(values, vectors)
+    vectors = _order_degenerate_clusters(values, (vectors.T * _phases(vectors)[:, None]).T)
     return SpectralDecomposition(values, vectors)
 
 

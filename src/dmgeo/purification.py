@@ -18,8 +18,8 @@ from .core import (
     DensityMatrix,
     PureState,
     Unitary,
-    _fix_phases,
     _lapack,
+    _phases,
     _symmetrized_density,
     numerical_rank,
     spectral_decompose,
@@ -94,15 +94,10 @@ def schmidt(psi: PureState, tol: float = RANK_TOL) -> SchmidtDecomposition:
     c = psi.coefficient_matrix()
     u, s, vh = _lapack(np.linalg.svd, c)
     mu = numerical_rank(s, tol)
-    basis_a = u[:, :mu].copy()
-    basis_b = vh[:mu, :].T.copy()
-    fixed = _fix_phases(basis_a)
-    # transfer the applied phase to the B side so a_k (x) b_k is unchanged
-    for k in range(mu):
-        j = int(np.argmax(np.abs(basis_a[:, k])))
-        phase = fixed[j, k] / basis_a[j, k]
-        basis_b[:, k] = basis_b[:, k] * phase.conjugate()
-    return SchmidtDecomposition(mu, s[:mu].copy(), fixed, basis_b)
+    phases = _phases(u[:, :mu])[:, None]
+    basis_a = (u[:, :mu].T * phases).T
+    basis_b = (vh[:mu, :] * phases.conj()).T
+    return SchmidtDecomposition(mu, s[:mu].copy(), basis_a, basis_b)
 
 
 def apply_local_b(psi: PureState, v: Unitary) -> PureState:

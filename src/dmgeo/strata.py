@@ -39,9 +39,7 @@ from .errors import (
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-#: default relative cutoff on stacked-direction singular values
-TANGENT_TOL = 1e-8
+_PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 #: nonzero eigenvalues closer than this make the tangent check ill-posed
 GENERIC_EPS = 1e-8
@@ -121,24 +119,22 @@ def classify(rho: DensityMatrix, tol: float = RANK_TOL) -> StratumInfo:
     )
 
 
-def traceless_hermitian_basis(n: int):
-    """The n^2 - 1 standard traceless Hermitian basis matrices."""
-    basis = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = 1.0
-            m[j, i] = 1.0
-            basis.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = -1.0j
-            m[j, i] = 1.0j
-            basis.append(m)
-    for k in range(1, n):
-        m = np.zeros((n, n), dtype=complex)
-        m[:k, :k] = np.eye(k)
-        m[k, k] = -float(k)
-        basis.append(m)
+def traceless_hermitian_basis(n: int) -> np.ndarray:
+    """The n^2 - 1 standard traceless Hermitian basis matrices, stacked.
+
+    For each pair i < j in row-major order the symmetric and then the
+    antisymmetric off-diagonal matrix, followed by diag(1, .., 1, -k, 0, ..)
+    for k = 1 .. n - 1.
+    """
+    i, j = np.triu_indices(n, k=1)
+    sym = 2 * np.arange(i.size)
+    basis = np.zeros((n * n - 1, n, n), dtype=complex)
+    basis[sym, i, j] = basis[sym, j, i] = 1.0
+    basis[sym + 1, i, j] = -1.0j
+    basis[sym + 1, j, i] = 1.0j
+    diag = np.tri(n - 1, n)
+    diag[np.arange(n - 1), np.arange(1, n)] = -np.arange(1, n)
+    basis[n * n - n :, np.arange(n), np.arange(n)] = diag
     return basis
 
 
@@ -147,17 +143,15 @@ def flatten_hermitian(h: np.ndarray) -> np.ndarray:
 
     Layout: diagonal reals, then sqrt(2) * real and sqrt(2) * imaginary parts
     of the upper triangle, making the Euclidean inner product match the
-    Hilbert-Schmidt one.
+    Hilbert-Schmidt one.  A ``(..., n, n)`` stack flattens matrix by matrix.
     """
-    n = h.shape[0]
-    iu = np.triu_indices(n, k=1)
-    upper = h[iu]
-    return np.concatenate(
-        [h.diagonal().real, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag]
-    )
+    i, j = np.triu_indices(h.shape[-1], k=1)
+    upper = h[..., i, j]
+    off = np.sqrt(2.0) * np.concatenate([upper.real, upper.imag], axis=-1)
+    return np.concatenate([h.diagonal(axis1=-2, axis2=-1).real, off], axis=-1)
 
 
-def tangent_space_rank(rho: DensityMatrix, tol: float = TANGENT_TOL) -> int:
+def tangent_space_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
     """Numerical dimension of the rank-preserving motions at a generic point.
 
     Stacks the flattened directions i[H_k, rho] over the traceless
@@ -180,16 +174,18 @@ def tangent_space_rank(rho: DensityMatrix, tol: float = TANGENT_TOL) -> int:
         )
 
     m = rho.matrix
-    rows = []
-    for h in traceless_hermitian_basis(rho.n):
-        rows.append(flatten_hermitian(1.0j * (h @ m - m @ h)))
-    vecs = dec.eigenvectors
-    projectors = [np.outer(vecs[:, k], vecs[:, k].conj()) for k in range(mu)]
-    for k in range(mu - 1):
-        rows.append(flatten_hermitian(projectors[k] - projectors[k + 1]))
-    if not rows:
+    basis = traceless_hermitian_basis(rho.n)
+    commutators = basis @ m
+    commutators -= m @ basis
+    commutators *= 1.0j
+    del basis  # at most three n^4-sized arrays are alive at once
+    vecs = dec.eigenvectors[:, :mu].T
+    projectors = vecs[:, :, None] * vecs.conj()[:, None, :]
+    stack = np.concatenate(
+        [flatten_hermitian(commutators), flatten_hermitian(projectors[:-1] - projectors[1:])]
+    )
+    if not stack.size:
         return 0
-    stack = np.array(rows)
 
     s = _lapack(np.linalg.svd, stack, compute_uv=False)
     rank = int(np.count_nonzero(s > tol * s[0]))
@@ -281,10 +277,7 @@ def bloch_rotation(u: Unitary) -> np.ndarray:
     """
     if u.n != 2:
         raise DimensionNotTwoError(f"n = {u.n}")
-    paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
     m = u.matrix
-    out = np.empty((3, 3))
-    for a in range(3):
-        for b in range(3):
-            out[a, b] = 0.5 * np.trace(paulis[a] @ m @ paulis[b] @ m.conj().T).real
-    return out
+    # out[a, b] = Tr(sigma_a u sigma_b u^dag) / 2, multiplied left to right
+    products = (_PAULIS @ m)[:, None] @ _PAULIS @ m.conj().T
+    return 0.5 * np.trace(products, axis1=-2, axis2=-1).real

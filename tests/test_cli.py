@@ -352,7 +352,7 @@ def test_exit_code_out_of_memory(monkeypatch):
     with contextlib.redirect_stderr(io.StringIO()) as err:
         rc, out = call_main(["sample", "--kind", "unitary", "--n", "2"])
     assert (rc, out) == (4, "")
-    assert err.getvalue() == "error: Unable to allocate 596. GiB for an array\n"
+    assert err.getvalue() == "error: OutOfMemory: Unable to allocate 596. GiB for an array\n"
 
 
 def test_exit_code_integer_too_large_for_double(run_cli):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dmgeo import core, purification, sampling, strata
 from dmgeo.errors import (
@@ -184,3 +185,56 @@ def test_lapack_failure_raises_decomposition_failure(monkeypatch):
             patch.setattr(np.linalg, routine, fail)
             with pytest.raises(DecompositionFailureError, match="injected failure"):
                 call()
+
+
+def loop_fix_phases(vectors):
+    # reference: one column at a time, pivot on the first component above
+    # PHASE_EPS, scalar modulus
+    out = vectors.copy()
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        significant = np.flatnonzero(np.abs(col) > core.PHASE_EPS)
+        pivot = col[significant[0]]
+        out[:, k] = col * (pivot.conjugate() / abs(pivot))
+    return out
+
+
+def loop_order_clusters(values, vectors):
+    # reference: scan runs with gaps below CLUSTER_GAP, sort each by tuple keys
+    n = values.size
+    order = list(range(n))
+    start = 0
+    for stop in range(1, n + 1):
+        if stop == n or values[stop - 1] - values[stop] >= core.CLUSTER_GAP:
+            order[start:stop] = sorted(
+                order[start:stop], key=lambda k: tuple(vectors[:, k].real), reverse=True
+            )
+            start = stop
+    return vectors[:, order]
+
+
+@st.composite
+def clustered_densities(draw):
+    n = draw(st.integers(1, 10))
+    levels = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=n))
+    lam = np.array([draw(st.sampled_from(levels)) for _ in range(n)])
+    # repeated levels, kept exact or split by up to twice CLUSTER_GAP
+    splits = st.sampled_from([0.0, 0.0, 0.5, 1.0]) | st.floats(0.0, 2.0)
+    lam += np.array([draw(splits) for _ in range(n)]) * core.CLUSTER_GAP
+    if draw(st.booleans()):
+        u = np.eye(n, dtype=complex)
+    else:
+        u = sampling.random_unitary(n, draw(st.integers(0, 2**32 - 1))).matrix
+    m = (u * lam) @ u.conj().T
+    return core.validate_density(m / np.trace(m).real)
+
+
+@settings(max_examples=300, deadline=None)
+@given(clustered_densities())
+def test_spectral_decompose_bitwise_equals_loop_reference(rho):
+    values, vectors = np.linalg.eigh(rho.matrix)
+    values = values[::-1].copy()
+    vectors = loop_order_clusters(values, loop_fix_phases(vectors[:, ::-1]))
+    dec = core.spectral_decompose(rho)
+    assert dec.eigenvalues.tobytes() == values.tobytes()
+    assert dec.eigenvectors.tobytes() == vectors.tobytes()

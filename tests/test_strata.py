@@ -135,6 +135,100 @@ def test_tangent_rejects_degenerate_spectrum():
         strata.tangent_space_rank(diag_density(0.4, 0.4, 0.2))
 
 
+def test_tangent_rank_resolves_eigenvalue_1e8():
+    # the 1e-8 eigenvalue puts the smallest kept singular value near 4e-9 of
+    # the largest: above the default cut 1e-9, below a cut of 1e-8
+    lam = np.array([1.0, 0.3, 0.1, 1e-3, 1e-6, 1e-8, 0.0])
+    for seed in range(5):
+        u = sampling.random_unitary(7, seed).matrix
+        rho = core.validate_density((u * lam) @ u.conj().T / lam.sum())
+        assert strata.tangent_space_rank(rho) == strata.stratum_dimension(7, 6)
+
+
+def loop_basis(n):
+    # reference: the traceless Hermitian basis built one matrix at a time
+    basis = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = np.zeros((n, n), dtype=complex)
+            m[i, j] = m[j, i] = 1.0
+            basis.append(m)
+            m = np.zeros((n, n), dtype=complex)
+            m[i, j] = -1.0j
+            m[j, i] = 1.0j
+            basis.append(m)
+    for k in range(1, n):
+        m = np.zeros((n, n), dtype=complex)
+        m[:k, :k] = np.eye(k)
+        m[k, k] = -float(k)
+        basis.append(m)
+    return basis
+
+
+def loop_flatten(h):
+    iu = np.triu_indices(h.shape[0], k=1)
+    upper = h[iu]
+    return np.concatenate(
+        [h.diagonal().real, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag]
+    )
+
+
+def loop_stack(rho):
+    # reference: one flattened row per basis commutator and per adjacent
+    # projector difference
+    dec = core.spectral_decompose(rho)
+    mu = core.numerical_rank(dec.eigenvalues)
+    m = rho.matrix
+    rows = [loop_flatten(1.0j * (h @ m - m @ h)) for h in loop_basis(rho.n)]
+    v = dec.eigenvectors
+    projectors = [np.outer(v[:, k], v[:, k].conj()) for k in range(mu)]
+    rows += [loop_flatten(projectors[k] - projectors[k + 1]) for k in range(mu - 1)]
+    return np.array(rows)
+
+
+def test_tangent_stack_bitwise_equals_loop_reference(monkeypatch):
+    stacks = []
+    svd = np.linalg.svd
+
+    def capture(a, *args, **kwargs):
+        stacks.append(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", capture)
+    for n in range(2, 9):
+        for mu in range(1, n + 1):
+            rho = sampling.random_generic_density(n, mu, 7000 + 10 * n + mu)
+            strata.tangent_space_rank(rho)
+            ref = loop_stack(rho)
+            assert stacks[-1].shape == ref.shape
+            assert stacks[-1].tobytes() == ref.tobytes()
+
+
+def test_traceless_hermitian_basis_is_orthogonal_basis():
+    for n in range(1, 7):
+        basis = strata.traceless_hermitian_basis(n)
+        assert basis.shape == (n * n - 1, n, n)
+        assert np.array_equal(basis, basis.conj().transpose(0, 2, 1))
+        assert np.all(np.trace(basis, axis1=1, axis2=2) == 0)
+        gram = np.einsum("aij,bij->ab", basis.conj(), basis).real
+        assert np.array_equal(gram, np.diag(np.diag(gram)))
+        assert np.all(np.diag(gram) > 0)
+        for got, ref in zip(basis, loop_basis(n)):
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_flatten_hermitian_stack_equals_slices():
+    rng = np.random.default_rng(11)
+    for n in range(1, 6):
+        a = rng.standard_normal((3, 4, n, n)) + 1j * rng.standard_normal((3, 4, n, n))
+        h = a + a.conj().swapaxes(-1, -2)
+        flat = strata.flatten_hermitian(h)
+        assert flat.shape == (3, 4, n * n)
+        for idx in np.ndindex(3, 4):
+            one = strata.flatten_hermitian(h[idx])
+            assert flat[idx].tobytes() == one.tobytes() == loop_flatten(h[idx]).tobytes()
+
+
 def test_convex_split_maximally_mixed():
     split = strata.convex_split(core.validate_density(np.eye(2, dtype=complex) / 2))
     np.testing.assert_allclose(split.weights, [0.5, 0.5], atol=1e-15)
