@@ -75,6 +75,17 @@ def _count(text: str) -> int:
     return value
 
 
+def _tol(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}")
+    # written so that nan fails it
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError("tolerance must lie strictly between 0 and 1")
+    return value
+
+
 def _read(path) -> str:
     try:
         if path is None or path == "-":
@@ -85,7 +96,7 @@ def _read(path) -> str:
         raise DocumentError(f"cannot read {path or 'stdin'}: {exc}") from exc
 
 
-def _write(args, doc: dict):
+def _write(args, doc):
     text = docs.dumps(doc)
     if args.out is None or args.out == "-":
         sys.stdout.write(text)
@@ -109,8 +120,6 @@ def _cmd_document(args) -> int:
             results=out,
             tolerances={"tol": args.tol} if "tol" in args else {},
         )
-    else:
-        out = docs.matrix_document(out)
     _write(args, out)
     return EXIT_OK
 
@@ -128,7 +137,7 @@ def _cmd_connect(args) -> int:
     report = docs.report_document(
         command="connect",
         inputs={"psi": docs.digest(psi_text), "phi": docs.digest(phi_text)},
-        results={"unitary": docs.matrix_document(v), "residual": residual},
+        results={"unitary": v, "residual": residual},
         tolerances={"tol": args.tol, "residual_bound": RESIDUAL_BOUND},
         status="ok" if ok else "ResidualTooLarge",
     )
@@ -154,7 +163,7 @@ def _split(rho, args) -> dict:
     split = convex_split(rho, tol=args.tol)
     return {
         "weights": [float(w) for w in split.weights],
-        "components": [docs.matrix_document(c) for c in split.components],
+        "components": split.components,
     }
 
 
@@ -170,7 +179,7 @@ def _cmd_bloch(args) -> int:
     report = docs.report_document(
         command="bloch",
         inputs={},
-        results={"density": docs.matrix_document(rho)},
+        results={"density": rho},
         tolerances={},
     )
     _write(args, report)
@@ -210,7 +219,7 @@ def _cmd_sample(args) -> int:
         value = random_unitary(args.n, args.seed)
     else:
         value = random_density(args.n, mu, args.seed)
-    _write(args, docs.matrix_document(value))
+    _write(args, value)
     return EXIT_OK
 
 
@@ -240,19 +249,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("connect", help="unitary linking two purifications")
     p.add_argument("--psi", required=True, metavar="FILE", help="first state ('-' for stdin)")
     p.add_argument("--phi", required=True, metavar="FILE", help="second state ('-' for stdin)")
-    p.add_argument("--tol", type=float, default=CONNECT_TOL,
+    p.add_argument("--tol", type=_tol, default=CONNECT_TOL,
                    help="entrywise bound on the partial-trace mismatch")
     _add_io(p, infile=False)
     p.set_defaults(func=_cmd_connect)
 
     p = subs.add_parser("classify", help="rank and stratum data of a density matrix")
     _add_io(p)
-    p.add_argument("--tol", type=float, default=RANK_TOL)
+    p.add_argument("--tol", type=_tol, default=RANK_TOL)
     p.set_defaults(func=_cmd_document, kind="density", op=_classify)
 
     p = subs.add_parser("split", help="convex split into rank mu-1 components")
     _add_io(p)
-    p.add_argument("--tol", type=float, default=RANK_TOL)
+    p.add_argument("--tol", type=_tol, default=RANK_TOL)
     p.set_defaults(func=_cmd_document, kind="density", op=_split)
 
     p = subs.add_parser("bloch", help="Bloch vector of a qubit state, or the inverse")
@@ -267,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=int, required=True)
     p.add_argument("--samples", type=_count, default=20)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--tol", type=float, default=RANK_TOL)
+    p.add_argument("--tol", type=_tol, default=RANK_TOL)
     _add_io(p, infile=False)
     p.set_defaults(func=_cmd_verify_dimension)
 

@@ -20,6 +20,7 @@ from .core import (
     DensityMatrix,
     PureState,
     Unitary,
+    _require_finite,
     check_density,
     make_pure_state,
     make_unitary,
@@ -74,8 +75,19 @@ def _parse_square(data, n: int) -> np.ndarray:
     return _complex_entries(list(chain.from_iterable(data))).reshape(n, n)
 
 
-def matrix_document(value) -> dict:
-    """Serialize a DensityMatrix, PureState, or Unitary to a document dict."""
+#: sign bit of an IEEE double
+_SIGN = np.uint64(1 << 63)
+
+
+def _matrix_text(value) -> str:
+    """JSON text of the matrix document for a DensityMatrix, PureState, or
+    Unitary.
+
+    Each entry is written as ``json.dumps`` writes a float, ``repr``, but
+    ``repr`` runs once per distinct magnitude: ``repr(-x) == "-" + repr(x)``
+    for every finite x, ``-0.0`` included.  Emitted densities are Hermitian,
+    so about half of their magnitudes repeat.
+    """
     if isinstance(value, DensityMatrix):
         kind, a = "density", value.matrix
     elif isinstance(value, Unitary):
@@ -84,8 +96,29 @@ def matrix_document(value) -> dict:
         kind, a = "pure_state", value.amplitudes
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
-    data = np.stack([a.real, a.imag], axis=-1).tolist()
-    return {"kind": kind, "n": value.n, "data": data}
+    # repr would write nan where json.dumps writes NaN; no document holds either
+    _require_finite(a)
+    # the [re, im] parts in document (row-major) order, as raw bits
+    bits = np.ascontiguousarray(a).view(np.uint64).reshape(-1)
+    magnitudes, index = np.unique(bits & ~_SIGN, return_inverse=True)
+    reprs = list(map(float.__repr__, magnitudes.view(float).tolist()))
+    table = reprs + ["-" + s for s in reprs]
+    index += (bits >> 63).view(np.int64) * len(reprs)
+    n = value.n
+    if kind == "pure_state":
+        data = "[" + ", ".join(["[%s, %s]"] * (n * n)) + "]"
+    else:
+        row = "[" + ", ".join(["[%s, %s]"] * n) + "]"
+        data = "[" + ", ".join([row] * n) + "]"
+    template = '{"kind": "%s", "n": %d, "data": %s}' % (kind, n, data)
+    return template % tuple(map(table.__getitem__, index.tolist()))
+
+
+def matrix_document(value) -> dict:
+    """The document of a DensityMatrix, PureState, or Unitary as a dict, for
+    callers that edit documents; :func:`dumps` writes typed values as they
+    are."""
+    return json.loads(_matrix_text(value))
 
 
 def from_document(obj, kind=None) -> "DensityMatrix | PureState | Unitary":
@@ -150,6 +183,49 @@ def digest(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def dumps(doc: dict) -> str:
-    """Render a document as one line of UTF-8 JSON, newline-terminated."""
-    return json.dumps(doc) + "\n"
+_TYPED = (DensityMatrix, PureState, Unitary)
+
+
+def _holds_typed(node) -> bool:
+    if isinstance(node, dict):
+        node = node.values()
+    elif not isinstance(node, (list, tuple)):
+        return isinstance(node, _TYPED)
+    return any(map(_holds_typed, node))
+
+
+def _chunks(node, out: list):
+    if isinstance(node, _TYPED):
+        out.append(_matrix_text(node))
+    elif not _holds_typed(node):
+        out.append(json.dumps(node))
+    elif isinstance(node, dict):
+        out.append("{")
+        for i, (key, item) in enumerate(node.items()):
+            if i:
+                out.append(", ")
+            # json.dumps writes a key that is not a string as the string of
+            # its JSON, e.g. 1.5 as "1.5" and None as "null"
+            out.append(json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ")
+            _chunks(item, out)
+        out.append("}")
+    else:
+        out.append("[")
+        for i, item in enumerate(node):
+            if i:
+                out.append(", ")
+            _chunks(item, out)
+        out.append("]")
+
+
+def dumps(doc) -> str:
+    """Render a document as one line of UTF-8 JSON, newline-terminated.
+
+    A DensityMatrix, PureState, or Unitary anywhere in ``doc`` is written as
+    its matrix document; everything else is written as ``json.dumps`` writes
+    it.
+    """
+    out = []
+    _chunks(doc, out)
+    out.append("\n")
+    return "".join(out)

@@ -479,3 +479,26 @@ def test_fuzz_sample(kind, n, mu, seed):
     if mu is not None:
         argv += ["--mu", str(mu)]
     _check_exit_contract(argv, "")
+
+
+# each with an input it accepts, so a tolerance let through would succeed
+_TOL_COMMANDS = (
+    (["classify"], HALF_MIX),
+    (["split"], HALF_MIX),
+    (["connect", "--psi", "-", "--phi", "{bell}"], BELL),
+    (["verify-dimension", "--n", "2", "--mu", "2", "--samples", "1"], ""),
+)
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "1", "2"])
+@pytest.mark.parametrize("command", _TOL_COMMANDS, ids=lambda c: c[0][0])
+def test_exit_code_tolerance_out_of_range(fuzz_paths, monkeypatch, command, tol):
+    argv, stdin_text = command
+    argv = [a.format(**fuzz_paths) for a in argv] + [f"--tol={tol}"]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv)
+    assert (exit_info.value.code, out.getvalue()) == (2, "")
+    assert "--tol" in err.getvalue()

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dmgeo import core, documents as docs, sampling
+from dmgeo import core, documents as docs, sampling, strata
 from dmgeo.errors import (
     DocumentError,
+    NotFiniteError,
     NotHermitianError,
     NotNormalizedError,
     NotPositiveError,
@@ -182,3 +183,118 @@ def test_report_document_shape():
     assert set(report) == {"command", "inputs", "results", "tolerances", "status"}
     parsed = json.loads(docs.dumps(report))
     assert parsed == report
+
+
+def reference_document(value) -> dict:
+    # the document dict the CLI serialized with json.dumps before matrix
+    # documents were emitted straight from the typed values
+    if isinstance(value, core.DensityMatrix):
+        kind, a = "density", value.matrix
+    elif isinstance(value, core.Unitary):
+        kind, a = "unitary", value.matrix
+    else:
+        kind, a = "pure_state", value.amplitudes
+    return {"kind": kind, "n": value.n, "data": np.stack([a.real, a.imag], axis=-1).tolist()}
+
+
+def reference_dumps(doc) -> str:
+    def expand(node):
+        if isinstance(node, (core.DensityMatrix, core.PureState, core.Unitary)):
+            return reference_document(node)
+        if isinstance(node, dict):
+            return {key: expand(item) for key, item in node.items()}
+        if isinstance(node, (list, tuple)):
+            return [expand(item) for item in node]
+        return node
+
+    return json.dumps(expand(doc)) + "\n"
+
+
+# signed zeros, the smallest subnormal, short and long reprs, a magnitude
+# past 2**53, and each with both signs so equal magnitudes meet
+_TRICKY = [s * x for x in (0.0, 5e-324, 1e-5, 1e16, 0.1, 1 / 3, 2.0**53 + 2, 0.5, 1.0)
+           for s in (1.0, -1.0)]
+
+
+@st.composite
+def typed_values(draw):
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["density", "pure_state", "unitary"]))
+    source = draw(st.sampled_from(["sampled", "tricky", "tricky_hermitian"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if source == "sampled":
+        return {
+            "density": lambda: sampling.random_density(n, draw(st.integers(1, n)), seed),
+            "pure_state": lambda: sampling.random_pure(n * n, seed),
+            "unitary": lambda: sampling.random_unitary(n, seed),
+        }[kind]()
+    entries = draw(st.lists(st.sampled_from(_TRICKY) | st.floats(allow_nan=False, allow_infinity=False),
+                            min_size=2 * n * n, max_size=2 * n * n))
+    a = np.array(entries).view(complex).reshape(n, n)
+    if source == "tricky_hermitian":
+        # mirrored entries: equal real parts, imaginary parts of opposite sign
+        a = np.where(np.triu(np.ones((n, n), dtype=bool)), a, a.T.conj())
+    if draw(st.booleans()):
+        a = np.asfortranarray(a)
+    if kind == "pure_state":
+        return core.PureState(a.reshape(-1))
+    # the types wrap any array, so a density need not be Hermitian here
+    return core.DensityMatrix(a) if kind == "density" else core.Unitary(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(typed_values())
+def test_dumps_matches_reference_bytes(value):
+    assert docs.dumps(value) == reference_dumps(value)
+    assert json.dumps(docs.matrix_document(value)) == json.dumps(reference_document(value))
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_dumps_matches_reference_bytes_large(n):
+    values = [
+        sampling.random_density(n, n, n),
+        sampling.random_density(n, 8, n + 1),
+        sampling.random_pure(n * n, n),
+        sampling.random_unitary(n, n),
+        strata.convex_split(sampling.random_density(n, 3, n)).components[1],
+    ]
+    for value in values:
+        assert docs.dumps(value) == reference_dumps(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(typed_values(), min_size=1, max_size=3), st.floats(allow_nan=False))
+def test_reports_with_typed_values_match_reference_bytes(values, x):
+    reports = [
+        docs.report_document("split", {"density": docs.digest("x")},
+                             {"weights": [x, 0.5], "components": tuple(values)}, {"tol": 1e-9}),
+        docs.report_document("connect", {"psi": "aé\"\\"}, {"unitary": values[0], "residual": x},
+                             {"tol": 1e-8}, status="ResidualTooLarge"),
+        {"nested": [values, {"deeper": (values[-1], None, True, 3)}], "empty": [[], {}, ()]},
+        # json.dumps writes non-string keys as strings
+        {7: values[0], 2.5: [values[-1]], True: {}, None: "null", "x": x},
+    ]
+    for report in reports:
+        assert docs.dumps(report) == reference_dumps(report)
+
+
+def test_dumps_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, -np.inf):
+        for value in (
+            core.DensityMatrix(np.array([[bad, 0.0], [0.0, 0.5]])),
+            core.PureState(np.array([0.5, 0.5j, 0.5 * bad, 0.5])),
+            core.Unitary(np.array([[1j * bad]])),
+        ):
+            with pytest.raises(NotFiniteError):
+                docs.dumps(value)
+            with pytest.raises(NotFiniteError):
+                docs.dumps({"results": {"components": [value]}})
+            with pytest.raises(NotFiniteError):
+                docs.matrix_document(value)
+
+
+def test_dumps_rejects_unserializable_leaves_as_json_does():
+    rho = sampling.random_density(2, 2, 1)
+    for doc in ({"a": rho, "b": {1, 2}}, [rho, object()]):
+        with pytest.raises(TypeError):
+            docs.dumps(doc)
