@@ -175,6 +175,8 @@ def _bloch(rho, args) -> dict:
 def _cmd_bloch(args) -> int:
     if args.coords is None:
         return _cmd_document(args)
+    if args.infile is not None:
+        raise DocumentError("--from builds the density, so it takes no --in")
     rho = density_from_bloch(BlochVector(*args.coords))
     report = docs.report_document(
         command="bloch",

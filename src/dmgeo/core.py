@@ -291,6 +291,19 @@ def _phases(vectors: np.ndarray) -> np.ndarray:
     return pivots.conj() / np.hypot(pivots.real, pivots.imag)
 
 
+def _phase_fixed_qr(a: np.ndarray) -> np.ndarray:
+    """Unitary QR factor of ``a`` with R's diagonal made real and
+    nonnegative (Mezzadri, math-ph/0609050).
+
+    An exactly zero pivot keeps its column as LAPACK returns it, since
+    ``d/|d|`` would be 0/0 there.
+    """
+    q, r = _lapack(np.linalg.qr, a)
+    d = np.diagonal(r)
+    d = np.where(d == 0, 1, d)
+    return q * (d / np.abs(d))
+
+
 def _order_degenerate_clusters(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     # clusters are maximal runs of descending eigenvalues whose consecutive
     # gaps stay below CLUSTER_GAP; inside a cluster any basis is as good as

@@ -19,6 +19,7 @@ from .core import (
     PureState,
     Unitary,
     _lapack,
+    _phase_fixed_qr,
     _phases,
     _symmetrized_density,
     numerical_rank,
@@ -30,11 +31,6 @@ from .errors import DimensionMismatchError, PartialTraceMismatchError
 #: zeros when purifying; sqrt of eigensolver noise would otherwise inject
 #: amplitudes of order 1e-8 into the state
 PURIFY_CLAMP = 1e-13
-
-#: relative support cutoff for the connecting-unitary construction; kept
-#: far below rank tolerance because excluding a direction with eigenvalue
-#: lam costs a residual of order sqrt(lam)
-SUPPORT_CUT = 1e-14
 
 #: default entrywise tolerance for the equal-partial-trace precondition
 CONNECT_TOL = 1e-8
@@ -116,28 +112,16 @@ def apply_local_a(psi: PureState, r: Unitary) -> PureState:
     return PureState(c.reshape(-1))
 
 
-def _orthonormal_frame(c: np.ndarray, support: np.ndarray, inv_sqrt: np.ndarray):
-    # columns of raw span the same space as the right polar factor of C
-    # restricted to the support; the SVD cleanup makes them exactly
-    # orthonormal and hands back an orthonormal kernel basis for free
-    mu = support.shape[1]
-    raw = c.conj().T @ support * inv_sqrt
-    x, _, yh = _lapack(np.linalg.svd, raw, full_matrices=True)
-    return x[:, :mu] @ yh, x[:, mu:]
-
-
 def connecting_unitary(
     psi: PureState, phi: PureState, tol: float = CONNECT_TOL
 ) -> Unitary:
     """The special unitary v with (I (x) v) psi = phi as rays.
 
     Both states must have the same partial trace over B within ``tol``
-    entrywise.  The construction diagonalizes the shared reduced matrix,
-    builds the right polar factors of both coefficient matrices on its
-    support, and glues ``v^T`` from the support match plus a kernel-basis
-    match; one code path covers degenerate spectra, rank deficiency, and
-    complex phases alike.  The result is normalized into SU(N) with the
-    principal determinant root.
+    entrywise.  The construction takes one SVD of psi's coefficient matrix
+    and one phase-fixed QR, with no support cut, so one code path covers
+    degenerate spectra, rank deficiency, and complex phases alike.  The
+    result is normalized into SU(N) with the principal determinant root.
     """
     if psi.amplitudes.size != phi.amplitudes.size:
         raise DimensionMismatchError(
@@ -152,19 +136,12 @@ def connecting_unitary(
     if deviation > tol:
         raise PartialTraceMismatchError(deviation, tol)
 
-    rho = 0.5 * (rho_psi + rho_phi)
-    rho = 0.5 * (rho + rho.conj().T)
-    lam, vec = _lapack(np.linalg.eigh, rho)
-    lam = lam[::-1]
-    vec = vec[:, ::-1]
-    mu = int(np.count_nonzero(lam > SUPPORT_CUT * lam[0]))
-    support = vec[:, :mu]
-    inv_sqrt = 1.0 / np.sqrt(lam[:mu])
-
-    b_psi, k_psi = _orthonormal_frame(c_psi, support, inv_sqrt)
-    b_phi, k_phi = _orthonormal_frame(c_phi, support, inv_sqrt)
-
-    v = (b_psi @ b_phi.conj().T + k_psi @ k_phi.conj().T).T
+    # C_psi = U S W^dag and C_phi = C_psi v^T give (U^dag C_phi)^T =
+    # v conj(W) S, whose phase-fixed QR factor is v conj(W) up to an
+    # orthonormal completion under zero coefficients; each column's error
+    # scales with its own coefficient, so nothing needs to be cut
+    u, _, wh = _lapack(np.linalg.svd, c_psi)
+    v = _phase_fixed_qr((u.conj().T @ c_phi).T) @ wh.conj()
     det = complex(_lapack(np.linalg.det, v))
     v = v * det ** (-1.0 / n)
     return Unitary(v)

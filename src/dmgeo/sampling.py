@@ -15,6 +15,7 @@ from .core import (
     PureState,
     Unitary,
     _lapack,
+    _phase_fixed_qr,
     _symmetrized_density,
     check_rank_range,
     numerical_rank,
@@ -63,10 +64,7 @@ def random_unitary(n: int, seed) -> Unitary:
         raise RankOutOfRangeError(f"n = {n}")
     rng = np.random.default_rng(seed)
     g = complex_normal(rng, (n, n))
-    q, r = _lapack(np.linalg.qr, g)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return Unitary(q)
+    return Unitary(_phase_fixed_qr(g))
 
 
 def _draw_until(n, mu, seed, accept, what) -> DensityMatrix:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dmgeo import core, documents as docs, sampling
 from dmgeo.cli import main as cli_main
-from dmgeo.purification import purify
+from dmgeo.purification import apply_local_b, purify
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -250,6 +250,28 @@ def test_connect_reads_stdin(run_cli, tmp_path):
     assert set(report["inputs"]) == {"psi", "phi"}
 
 
+def test_connect_rank_deficient_pair(tmp_path):
+    # a rank-2 purification from numpy's eigh with its kernel coefficients at
+    # 1e-8, moved on B by two unitaries: the pair is related exactly, and a
+    # support cut on the reduced spectrum would leave a residual near 1e-8
+    g = sampling.complex_normal(np.random.default_rng(5), (4, 2))
+    lam, vec = np.linalg.eigh(g @ g.conj().T)
+    s = np.sqrt(np.abs(lam))
+    s[:2] = 1e-8
+    c = vec * s
+    base = core.PureState((c / np.linalg.norm(c)).reshape(-1))
+    paths = []
+    for seed in (1, 2):
+        path = tmp_path / f"state{seed}.json"
+        moved = apply_local_b(base, sampling.random_unitary(4, seed))
+        path.write_text(docs.dumps(docs.matrix_document(moved)))
+        paths.append(str(path))
+    rc, out = call_main(["connect", "--psi", paths[0], "--phi", paths[1]])
+    report = json.loads(out)
+    assert (rc, report["status"]) == (0, "ok")
+    assert report["results"]["residual"] <= 1e-12
+
+
 def test_out_flag_writes_file(run_cli, tmp_path):
     target = tmp_path / "out.json"
     rc, out, err = run_cli(["purify", "--out", str(target)], stdin_text=HALF_MIX)
@@ -301,14 +323,20 @@ def test_exit_code_unreadable_input(run_cli, tmp_path):
         rc, out, err = run_cli(["purify", *argv], stdin_text=HALF_MIX)
         assert (rc, out) == (2, "")
         assert "DocumentError" in err and "Traceback" not in err
+    # bloch --from builds its density, so any --in next to it is a usage error
+    for infile in (str(tmp_path / "missing.json"), "-"):
+        rc, out, err = run_cli(["bloch", "--from", "0", "0", "0", "--in", infile],
+                               stdin_text=HALF_MIX)
+        assert (rc, out) == (2, "")
+        assert "DocumentError" in err and "Traceback" not in err
 
 
 # every subcommand that reaches each LAPACK routine, with the input it needs
 _LAPACK_REACH = {
-    "eigh": ("purify", "classify", "split", "connect", "verify-dimension"),
+    "eigh": ("purify", "classify", "split", "verify-dimension"),
     "eigvalsh": ("purify", "classify", "split", "bloch", "sample-density", "verify-dimension"),
     "svd": ("connect", "verify-dimension"),
-    "qr": ("sample-unitary",),
+    "qr": ("connect", "sample-unitary"),
     "det": ("connect",),
 }
 

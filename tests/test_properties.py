@@ -37,7 +37,8 @@ def tailed_spectra(draw, cut, min_rank=1):
     return core.validate_density(m / np.trace(m).real)
 
 
-_CUTS = (core.RANK_TOL, pf.PURIFY_CLAMP, pf.SUPPORT_CUT)
+# the last cut puts tail coefficients near 1e-7 of the largest
+_CUTS = (core.RANK_TOL, pf.PURIFY_CLAMP, 1e-14)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,3 +1,6 @@
+import collections
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -241,16 +244,70 @@ def test_connecting_degenerate_and_deficient():
         assert np.max(unit_dev) <= 1e-12
 
 
-@settings(max_examples=100, deadline=None)
-@given(edge_spectra(_NEAR, pf.SUPPORT_CUT) | edge_spectra(_NEAR, pf.PURIFY_CLAMP),
+# tails this far below the top eigenvalue have Schmidt coefficients near 1e-7
+# of the largest, which a support cut on the reduced spectrum would drop
+_TAIL_CUT = 1e-14
+
+
+@st.composite
+def eigh_purifications(draw):
+    # C = V diag(s) from numpy's eigh of a rank-deficient G G^dag, not
+    # clamped: the kernel coefficients are drawn from 1e-9 to 1e-7, the size
+    # of the square root of eigensolver noise
+    n = draw(st.integers(2, 6))
+    mu = draw(st.integers(1, n - 1))
+    g = sampling.complex_normal(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), (n, mu))
+    lam, vec = np.linalg.eigh(g @ g.conj().T)
+    s = np.sqrt(np.abs(lam))
+    s[: n - mu] = [draw(st.floats(1e-9, 1e-7)) for _ in range(n - mu)]
+    c = vec * s
+    return core.PureState((c / np.linalg.norm(c)).reshape(-1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(edge_spectra(_NEAR, _TAIL_CUT).map(pf.purify),
+                 edge_spectra(_NEAR, pf.PURIFY_CLAMP).map(pf.purify),
+                 eigh_purifications()),
        st.integers(0, 2**32 - 1))
-def test_connecting_property(rho, seed):
-    base = pf.purify(rho)
-    psi = pf.apply_local_b(base, sampling.random_unitary(rho.n, seed))
-    phi = pf.apply_local_b(base, sampling.random_unitary(rho.n, seed + 1))
+def test_connecting_property(base, seed):
+    psi = pf.apply_local_b(base, sampling.random_unitary(base.n, seed))
+    phi = pf.apply_local_b(base, sampling.random_unitary(base.n, seed + 1))
     v = pf.connecting_unitary(psi, phi)
     assert core.ray_distance(pf.apply_local_b(psi, v), phi) <= 1e-9
     assert abs(np.linalg.det(v.matrix) - 1.0) <= 1e-9
+
+
+def test_connecting_product_states():
+    # exact basis products leave exact zeros on the QR pivots of all but the
+    # first column
+    for n in range(1, 4):
+        for i, j, k in itertools.product(range(n), repeat=3):
+            c_psi = np.zeros((n, n), dtype=complex)
+            c_phi = np.zeros((n, n), dtype=complex)
+            c_psi[i, j] = 1.0
+            c_phi[i, k] = 1j
+            psi, phi = (core.PureState(c.reshape(-1)) for c in (c_psi, c_phi))
+            v = pf.connecting_unitary(psi, phi)
+            assert core.ray_distance(pf.apply_local_b(psi, v), phi) <= 1e-12
+            assert abs(np.linalg.det(v.matrix) - 1.0) <= 1e-12
+
+
+def test_connecting_lapack_calls(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("eigh", "eigvalsh", "svd", "qr", "det"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    base = pf.purify(conjugated_density([0.5, 0.3, 0.2, 0.0], 4))
+    psi = pf.apply_local_b(base, sampling.random_unitary(4, 5))
+    calls.clear()
+    pf.connecting_unitary(psi, base)
+    assert calls == {"svd": 1, "qr": 1, "det": 1}
 
 
 def test_connecting_rejects_mismatched_traces():
