@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,6 +120,23 @@ def classify(rho: DensityMatrix, tol: float = RANK_TOL) -> StratumInfo:
     )
 
 
+@lru_cache(maxsize=16)
+def _triangle(n: int) -> tuple:
+    """Read-only layout tables of the size-n Hermitian basis, built once per n.
+
+    The strict upper triangle's indices ``(i, j)``, i < j in row-major
+    order, and the ``(n - 1, n)`` diagonal block whose row k - 1 is
+    diag(1, .., 1, -k, 0, ..).  An entry holds O(n^2) numbers; the n^4
+    basis itself is built per call.
+    """
+    i, j = np.triu_indices(n, k=1)
+    diag = np.tri(n - 1, n)
+    diag[np.arange(n - 1), np.arange(1, n)] = -np.arange(1, n)
+    for table in (i, j, diag):
+        table.flags.writeable = False
+    return i, j, diag
+
+
 def traceless_hermitian_basis(n: int) -> np.ndarray:
     """The n^2 - 1 standard traceless Hermitian basis matrices, stacked.
 
@@ -126,14 +144,12 @@ def traceless_hermitian_basis(n: int) -> np.ndarray:
     antisymmetric off-diagonal matrix, followed by diag(1, .., 1, -k, 0, ..)
     for k = 1 .. n - 1.
     """
-    i, j = np.triu_indices(n, k=1)
+    i, j, diag = _triangle(n)
     sym = 2 * np.arange(i.size)
     basis = np.zeros((n * n - 1, n, n), dtype=complex)
     basis[sym, i, j] = basis[sym, j, i] = 1.0
     basis[sym + 1, i, j] = -1.0j
     basis[sym + 1, j, i] = 1.0j
-    diag = np.tri(n - 1, n)
-    diag[np.arange(n - 1), np.arange(1, n)] = -np.arange(1, n)
     basis[n * n - n :, np.arange(n), np.arange(n)] = diag
     return basis
 
@@ -145,7 +161,7 @@ def flatten_hermitian(h: np.ndarray) -> np.ndarray:
     of the upper triangle, making the Euclidean inner product match the
     Hilbert-Schmidt one.  A ``(..., n, n)`` stack flattens matrix by matrix.
     """
-    i, j = np.triu_indices(h.shape[-1], k=1)
+    i, j, _ = _triangle(h.shape[-1])
     upper = h[..., i, j]
     off = np.sqrt(2.0) * np.concatenate([upper.real, upper.imag], axis=-1)
     return np.concatenate([h.diagonal(axis1=-2, axis2=-1).real, off], axis=-1)

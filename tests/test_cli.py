@@ -292,6 +292,15 @@ def test_verify_dimension_report(run_cli):
     assert report["status"] == "ok"
 
 
+def test_verify_dimension_one_level(run_cli):
+    rc, out, err = run_cli(["verify-dimension", "--n", "1", "--mu", "1", "--samples", "2"])
+    assert rc == 0, err
+    report = json.loads(out)
+    assert report["results"]["formula"] == 0
+    assert report["results"]["ranks"] == [0, 0]
+    assert report["results"]["all_match"] is True
+
+
 def test_in_process_main_matches_subprocess(run_cli):
     rc_a, out_a = call_main(["classify"], stdin_text=HALF_MIX)
     rc_b, out_b, _ = run_cli(["classify"], stdin_text=HALF_MIX)

@@ -229,6 +229,51 @@ def test_flatten_hermitian_stack_equals_slices():
             assert flat[idx].tobytes() == one.tobytes() == loop_flatten(h[idx]).tobytes()
 
 
+def test_triangle_tables_built_once_per_size(monkeypatch):
+    calls = []
+    triu_indices = np.triu_indices
+
+    def counting(n, *args, **kwargs):
+        calls.append(n)
+        return triu_indices(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "triu_indices", counting)
+    strata._triangle.cache_clear()
+    sizes = (1, 2, 3, 5)
+    for _ in range(3):
+        for n in sizes:
+            rho = sampling.random_generic_density(n, n, 100 + n)
+            assert strata.tangent_space_rank(rho) == strata.stratum_dimension(n, n)
+            strata.flatten_hermitian(rho.matrix)
+            strata.traceless_hermitian_basis(n)
+    assert sorted(calls) == list(sizes)
+
+
+def test_triangle_tables_read_only():
+    for n in (1, 2, 5):
+        for table in strata._triangle(n):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[...] = 0
+
+
+def test_mutated_basis_leaves_later_calls_unchanged():
+    n, mu = 4, 3
+    rho = sampling.random_generic_density(n, mu, 4243)
+    ref = strata.traceless_hermitian_basis(n)
+    basis = strata.traceless_hermitian_basis(n)
+    assert basis is not ref and basis.flags.writeable
+    basis[...] = 7.0
+    assert strata.traceless_hermitian_basis(n).tobytes() == ref.tobytes()
+    assert strata.tangent_space_rank(rho) == strata.stratum_dimension(n, mu)
+
+
+def test_one_level_tangent_rank_and_flatten():
+    # n = 1: the triangle, the basis and the tangent stack are all empty
+    assert strata.tangent_space_rank(diag_density(1.0)) == 0 == strata.stratum_dimension(1, 1)
+    assert strata.flatten_hermitian(np.zeros((0, 1, 1), dtype=complex)).shape == (0, 1)
+
+
 def test_convex_split_maximally_mixed():
     split = strata.convex_split(core.validate_density(np.eye(2, dtype=complex) / 2))
     np.testing.assert_allclose(split.weights, [0.5, 0.5], atol=1e-15)
