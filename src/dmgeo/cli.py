@@ -9,6 +9,7 @@ input too large to allocate, 5 numerical failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import documents as docs
@@ -99,7 +100,16 @@ def _read(path) -> str:
 def _write(args, doc):
     text = docs.dumps(doc)
     if args.out is None or args.out == "-":
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # e.g. the reader closed the pipe: send what is still buffered to
+            # devnull, so that the flush at exit does not fail a second time
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise DocumentError(f"cannot write stdout: {exc}") from exc
         return
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -233,68 +243,86 @@ def _add_io(sub, infile=True):
                      help="output file (default: stdout)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: the subcommand names, in help order
+COMMANDS = ("purify", "trace", "connect", "classify", "split", "bloch", "verify-dimension",
+            "sample")
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The ``dmgeo`` parser with every subcommand, or only ``command``.
+
+    A name from ``COMMANDS`` declares that subcommand alone, which parses
+    an argv that starts with it to the same namespace, help and errors as
+    the full parser.  The top-level help and the errors for a missing or
+    unknown command need the full parser (``command=None``).
+    """
     parser = argparse.ArgumentParser(
         prog="dmgeo", description="density-matrix geometry toolkit"
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    # only a partial build spells out the names, so that its usage line reads
+    # as the full one; the full build's errors call the argument "command"
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = subs.add_parser("purify", help="density document -> canonical purification")
-    _add_io(p)
-    p.set_defaults(func=_cmd_document, kind="density", op=lambda rho, args: purify(rho))
+    def declare(name, text):
+        return subs.add_parser(name, help=text) if command in (None, name) else None
 
-    p = subs.add_parser("trace", help="pure-state document -> partial trace over B")
-    _add_io(p)
-    p.set_defaults(func=_cmd_document, kind="pure_state",
-                   op=lambda psi, args: partial_trace_b(psi))
+    if p := declare("purify", "density document -> canonical purification"):
+        _add_io(p)
+        p.set_defaults(func=_cmd_document, kind="density", op=lambda rho, args: purify(rho))
 
-    p = subs.add_parser("connect", help="unitary linking two purifications")
-    p.add_argument("--psi", required=True, metavar="FILE", help="first state ('-' for stdin)")
-    p.add_argument("--phi", required=True, metavar="FILE", help="second state ('-' for stdin)")
-    p.add_argument("--tol", type=_tol, default=CONNECT_TOL,
-                   help="entrywise bound on the partial-trace mismatch")
-    _add_io(p, infile=False)
-    p.set_defaults(func=_cmd_connect)
+    if p := declare("trace", "pure-state document -> partial trace over B"):
+        _add_io(p)
+        p.set_defaults(func=_cmd_document, kind="pure_state",
+                       op=lambda psi, args: partial_trace_b(psi))
 
-    p = subs.add_parser("classify", help="rank and stratum data of a density matrix")
-    _add_io(p)
-    p.add_argument("--tol", type=_tol, default=RANK_TOL)
-    p.set_defaults(func=_cmd_document, kind="density", op=_classify)
+    if p := declare("connect", "unitary linking two purifications"):
+        p.add_argument("--psi", required=True, metavar="FILE", help="first state ('-' for stdin)")
+        p.add_argument("--phi", required=True, metavar="FILE", help="second state ('-' for stdin)")
+        p.add_argument("--tol", type=_tol, default=CONNECT_TOL,
+                       help="entrywise bound on the partial-trace mismatch")
+        _add_io(p, infile=False)
+        p.set_defaults(func=_cmd_connect)
 
-    p = subs.add_parser("split", help="convex split into rank mu-1 components")
-    _add_io(p)
-    p.add_argument("--tol", type=_tol, default=RANK_TOL)
-    p.set_defaults(func=_cmd_document, kind="density", op=_split)
+    if p := declare("classify", "rank and stratum data of a density matrix"):
+        _add_io(p)
+        p.add_argument("--tol", type=_tol, default=RANK_TOL)
+        p.set_defaults(func=_cmd_document, kind="density", op=_classify)
 
-    p = subs.add_parser("bloch", help="Bloch vector of a qubit state, or the inverse")
-    _add_io(p)
-    p.add_argument("--from", dest="coords", nargs=3, type=float, default=None,
-                   metavar=("X", "Y", "Z"), help="build the density matrix instead")
-    p.set_defaults(func=_cmd_bloch, kind="density", op=_bloch)
+    if p := declare("split", "convex split into rank mu-1 components"):
+        _add_io(p)
+        p.add_argument("--tol", type=_tol, default=RANK_TOL)
+        p.set_defaults(func=_cmd_document, kind="density", op=_split)
 
-    p = subs.add_parser("verify-dimension",
-                        help="check the stratum dimension formula on random samples")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mu", type=int, required=True)
-    p.add_argument("--samples", type=_count, default=20)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--tol", type=_tol, default=RANK_TOL)
-    _add_io(p, infile=False)
-    p.set_defaults(func=_cmd_verify_dimension)
+    if p := declare("bloch", "Bloch vector of a qubit state, or the inverse"):
+        _add_io(p)
+        p.add_argument("--from", dest="coords", nargs=3, type=float, default=None,
+                       metavar=("X", "Y", "Z"), help="build the density matrix instead")
+        p.set_defaults(func=_cmd_bloch, kind="density", op=_bloch)
 
-    p = subs.add_parser("sample", help="seeded random state, unitary, or density matrix")
-    p.add_argument("--kind", choices=("pure", "unitary", "density"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mu", type=int, default=None)
-    p.add_argument("--seed", type=_seed, default=0)
-    _add_io(p, infile=False)
-    p.set_defaults(func=_cmd_sample)
+    if p := declare("verify-dimension", "check the stratum dimension formula on random samples"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--mu", type=int, required=True)
+        p.add_argument("--samples", type=_count, default=20)
+        p.add_argument("--seed", type=_seed, default=0)
+        p.add_argument("--tol", type=_tol, default=RANK_TOL)
+        _add_io(p, infile=False)
+        p.set_defaults(func=_cmd_verify_dimension)
+
+    if p := declare("sample", "seeded random state, unitary, or density matrix"):
+        p.add_argument("--kind", choices=("pure", "unitary", "density"), required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--mu", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=0)
+        _add_io(p, infile=False)
+        p.set_defaults(func=_cmd_sample)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except (DmgeoError, MemoryError) as exc:

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dmgeo import core, documents as docs, sampling
+from dmgeo import cli, core, documents as docs, sampling
 from dmgeo.cli import main as cli_main
 from dmgeo.purification import apply_local_b, purify
 
@@ -338,6 +340,111 @@ def test_exit_code_unreadable_input(run_cli, tmp_path):
                                stdin_text=HALF_MIX)
         assert (rc, out) == (2, "")
         assert "DocumentError" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_exit_code_closed_stdout(unbuffered):
+    # purify writes only after reading all of stdin, so closing the only read
+    # end of its stdout first makes the write fail on every run
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "dmgeo.cli", "purify"], env=env, text=True,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    proc.stdin.write(HALF_MIX)
+    proc.stdin.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err.startswith("error: DocumentError: cannot write stdout: ") and err.count("\n") == 1
+
+
+# --- the partial parser: the invoked subcommand alone, with the same text ---
+
+def _parse_outcome(parse, argv):
+    # (exit code, stdout, stderr, namespace) of one parse; help and usage
+    # errors end in SystemExit
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace, code = parse(argv), None
+        except SystemExit as exc:
+            namespace, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+@pytest.mark.parametrize("argv", [
+    *([name, "-h"] for name in cli.COMMANDS),
+    ["purify", "--bogus"],
+    ["sample", "--n", "2"],
+    ["classify", "--tol", "2"],
+    ["bloch", "--from", "1", "2"],
+], ids="_".join)
+def test_partial_parser_text_matches_full(argv):
+    partial = _parse_outcome(cli.build_parser(argv[0]).parse_args, argv)
+    full = _parse_outcome(cli.build_parser().parse_args, argv)
+    assert partial[0] is not None and partial[:3] == full[:3]
+
+
+# one argv that parses, for each subcommand
+_VALID_ARGV = {
+    "purify": ["purify", "--in", "rho.json"],
+    "trace": ["trace", "--out", "-"],
+    "connect": ["connect", "--psi", "-", "--phi", "phi.json", "--tol", "1e-6"],
+    "classify": ["classify", "--tol", "0.001", "--in", "-"],
+    "split": ["split"],
+    "bloch": ["bloch", "--from", "0.1", "0", "-0.2"],
+    "verify-dimension": ["verify-dimension", "--n", "3", "--mu", "2", "--seed", "0x10"],
+    "sample": ["sample", "--kind", "density", "--n", "3", "--mu", "2", "--out", "x.json"],
+}
+
+
+def _comparable(namespace):
+    # each build makes its own op lambdas; compare them by their code
+    values = vars(namespace)
+    if "op" in values:
+        values["op"] = values["op"].__code__
+    return values
+
+
+def test_partial_parser_parses_same_namespace():
+    assert tuple(_VALID_ARGV) == cli.COMMANDS
+    for argv in _VALID_ARGV.values():
+        partial = cli.build_parser(argv[0]).parse_args(argv)
+        full = cli.build_parser().parse_args(argv)
+        assert _comparable(partial) == _comparable(full), argv
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    # the command of each build_parser call that main makes
+    calls, original = [], cli.build_parser
+
+    def recording(command=None):
+        calls.append(command)
+        return original(command)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    return calls
+
+
+def test_main_declares_only_the_invoked_subcommand(build_calls):
+    rc, out = call_main(["purify"], HALF_MIX)
+    assert (rc, build_calls) == (0, ["purify"])
+
+
+@pytest.mark.parametrize("argv, stderr_part", [
+    ([], "error: the following arguments are required: command\n"),
+    (["nope"], "error: argument command: invalid choice: 'nope'"),
+    (["-h"], ""),
+], ids=["empty", "unknown", "help"])
+def test_main_full_parser_without_a_command(build_calls, argv, stderr_part):
+    outcome = _parse_outcome(cli_main, argv)
+    assert build_calls == [None]
+    assert outcome == _parse_outcome(cli.build_parser().parse_args, argv)
+    # the full build names the argument "command", not its list of choices
+    assert stderr_part in outcome[2]
 
 
 # every subcommand that reaches each LAPACK routine, with the input it needs
