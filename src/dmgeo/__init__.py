@@ -8,7 +8,6 @@ numerically, and the qubit case reduces to the familiar Bloch ball.
 """
 
 from .core import (
-    CLUSTER_GAP,
     PHASE_EPS,
     RANK_TOL,
     DensityMatrix,
@@ -54,7 +53,6 @@ from .strata import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CLUSTER_GAP",
     "PHASE_EPS",
     "RANK_TOL",
     "BlochVector",

@@ -97,19 +97,23 @@ def _read(path) -> str:
         raise DocumentError(f"cannot read {path or 'stdin'}: {exc}") from exc
 
 
+def _stdout(text):
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # e.g. the reader closed the pipe: send what is still buffered to
+        # devnull, so that the flush at exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise DocumentError(f"cannot write stdout: {exc}") from exc
+
+
 def _write(args, doc):
     text = docs.dumps(doc)
     if args.out is None or args.out == "-":
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except OSError as exc:
-            # e.g. the reader closed the pipe: send what is still buffered to
-            # devnull, so that the flush at exit does not fail a second time
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            raise DocumentError(f"cannot write stdout: {exc}") from exc
+        _stdout(text)
         return
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -248,6 +252,16 @@ COMMANDS = ("purify", "trace", "connect", "classify", "split", "bloch", "verify-
             "sample")
 
 
+class _Parser(argparse.ArgumentParser):
+    # -h prints through _stdout, so that a closed stdout fails the same way
+    # as for a document; add_subparsers makes its subparsers of this class
+    def print_help(self, file=None):
+        if file is None:
+            _stdout(self.format_help())
+        else:
+            super().print_help(file)
+
+
 def build_parser(command=None) -> argparse.ArgumentParser:
     """The ``dmgeo`` parser with every subcommand, or only ``command``.
 
@@ -256,9 +270,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     the full parser.  The top-level help and the errors for a missing or
     unknown command need the full parser (``command=None``).
     """
-    parser = argparse.ArgumentParser(
-        prog="dmgeo", description="density-matrix geometry toolkit"
-    )
+    parser = _Parser(prog="dmgeo", description="density-matrix geometry toolkit")
     # only a partial build spells out the names, so that its usage line reads
     # as the full one; the full build's errors call the argument "command"
     metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
@@ -322,8 +334,8 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
         return args.func(args)
     except (DmgeoError, MemoryError) as exc:
         text = str(exc)

@@ -7,7 +7,7 @@ Conventions shared by the whole package:
 * eigenvalues are reported in descending order,
 * every eigenvector carries a fixed phase (its first component of
   modulus above ``PHASE_EPS`` is made real and positive), and vectors
-  inside a degenerate eigenvalue cluster are ordered by descending
+  inside a run of bit-equal eigenvalues are ordered by descending
   lexicographic comparison of their real parts.
 
 The phase and ordering rules make repeated decompositions of identical
@@ -39,9 +39,6 @@ RANK_TOL = 1e-9
 
 #: vector components at or below this modulus are skipped by the phase rule
 PHASE_EPS = 1e-8
-
-#: eigenvalues closer than this form one degenerate cluster
-CLUSTER_GAP = 1e-10
 
 #: default tolerance for the validation entry points
 VALIDATION_TOL = 1e-10
@@ -305,12 +302,10 @@ def _phase_fixed_qr(a: np.ndarray) -> np.ndarray:
 
 
 def _order_degenerate_clusters(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    # clusters are maximal runs of descending eigenvalues whose consecutive
-    # gaps stay below CLUSTER_GAP; inside a cluster any basis is as good as
-    # any other, so pick the one with descending lexicographic real parts.
-    # Only the vectors move: the values stay exactly descending, and the
-    # pairing error this can introduce is bounded by the cluster spread.
-    cluster = np.concatenate(([0], np.cumsum(values[:-1] - values[1:] >= CLUSTER_GAP)))
+    # clusters are maximal runs of bit-equal eigenvalues; inside a cluster
+    # any basis is as good as any other, so pick the one with descending
+    # lexicographic real parts, and every vector keeps its own value
+    cluster = np.concatenate(([0], np.cumsum(values[:-1] != values[1:])))
     # lexsort's last key is the primary one; negated keys sort descending
     # and the stable sort keeps equal columns in their eigh order
     return vectors[:, np.lexsort((*-vectors.real[::-1], cluster))]

@@ -215,9 +215,10 @@ def tangent_space_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
 def convex_split(rho: DensityMatrix, tol: float = RANK_TOL) -> ConvexSplit:
     """Split a rank-mu state into rank mu-1 states, mu >= 2.
 
-    Closed form: with rho = sum_k lam_k P_k over the mu nonzero
-    eigenvalues, component k is (rho - lam_k P_k) / (1 - lam_k) with
-    weight (1 - lam_k) / (mu - 1).  Each component drops exactly the
+    Closed form: with rho = sum_k lam_k P_k + T over the mu eigenvalues
+    above the rank cut and the tail T of trace t below it, component k is
+    (rho - T / mu - lam_k P_k) / (1 - lam_k - t / mu) with weight
+    (1 - lam_k - t / mu) / (mu - 1).  Each component drops exactly the
     k-th eigendirection, weights are positive and sum to one.
 
     Components are built from the spectrum and are not re-validated: rho
@@ -237,7 +238,7 @@ def convex_split(rho: DensityMatrix, tol: float = RANK_TOL) -> ConvexSplit:
     scale = 1.0 - lam[0]
     if scale <= tol:
         raise DegenerateTotalWeightError(f"eigenvalue {lam[0]!r} is within tol of 1")
-    # forming rho - lam_k P_k rounds at about n * eps, and component k
+    # forming shared - lam_k P_k rounds at about n * eps, and component k
     # carries that divided by 1 - lam_k; only while it stays far below
     # SPLIT_TOL do the checks on rho decide the checks on the components
     trusted = rho.n * np.finfo(float).eps * SPLIT_ERROR_MARGIN <= SPLIT_TOL * scale
@@ -246,13 +247,18 @@ def convex_split(rho: DensityMatrix, tol: float = RANK_TOL) -> ConvexSplit:
         smallest = float(lam[-1]) / scale
         if smallest < -SPLIT_TOL:
             raise NotPositiveError(smallest)
+    # at full rank T is an exact +0.0, and subtracting it keeps every bit
+    below = dec.eigenvectors[:, mu:]
+    shared = rho.matrix - (below * (lam[mu:] / mu)) @ below.conj().T
+    t = lam[mu:].sum()
     weights = []
     components = []
     for k in range(mu):
         lam_k = lam[k]
         p_k = np.outer(dec.eigenvectors[:, k], dec.eigenvectors[:, k].conj())
-        tau = (rho.matrix - lam_k * p_k) / (1.0 - lam_k)
-        weights.append((1.0 - lam_k) / (mu - 1))
+        total = 1.0 - lam_k - t / mu
+        tau = (shared - lam_k * p_k) / total
+        weights.append(total / (mu - 1))
         if trusted:
             components.append(_symmetrized_density(tau))
         else:

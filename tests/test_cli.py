@@ -358,6 +358,18 @@ def test_exit_code_closed_stdout(unbuffered):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert err.startswith("error: DocumentError: cannot write stdout: ") and err.count("\n") == 1
+    # -h reads no stdin, so the read end is closed before the child starts
+    for argv in (["purify", "-h"], ["-h"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "dmgeo.cli", *argv], env=env, text=True,
+                                  stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith("error: DocumentError: cannot write stdout: "), argv
+        assert proc.stderr.count("\n") == 1, argv
 
 
 # --- the partial parser: the invoked subcommand alone, with the same text ---

@@ -200,12 +200,12 @@ def loop_fix_phases(vectors):
 
 
 def loop_order_clusters(values, vectors):
-    # reference: scan runs with gaps below CLUSTER_GAP, sort each by tuple keys
+    # reference: scan runs of bit-equal values, sort each by tuple keys
     n = values.size
     order = list(range(n))
     start = 0
     for stop in range(1, n + 1):
-        if stop == n or values[stop - 1] - values[stop] >= core.CLUSTER_GAP:
+        if stop == n or values[stop - 1] != values[stop]:
             order[start:stop] = sorted(
                 order[start:stop], key=lambda k: tuple(vectors[:, k].real), reverse=True
             )
@@ -218,9 +218,9 @@ def clustered_densities(draw):
     n = draw(st.integers(1, 10))
     levels = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=n))
     lam = np.array([draw(st.sampled_from(levels)) for _ in range(n)])
-    # repeated levels, kept exact or split by up to twice CLUSTER_GAP
+    # repeated levels, kept exact or split by up to 2e-10
     splits = st.sampled_from([0.0, 0.0, 0.5, 1.0]) | st.floats(0.0, 2.0)
-    lam += np.array([draw(splits) for _ in range(n)]) * core.CLUSTER_GAP
+    lam += np.array([draw(splits) for _ in range(n)]) * 1e-10
     if draw(st.booleans()):
         u = np.eye(n, dtype=complex)
     else:

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dmgeo import core, purification as pf, sampling
 from dmgeo.errors import DimensionMismatchError, PartialTraceMismatchError
@@ -92,25 +92,25 @@ _NEAR = st.sampled_from([0.0, 0.5, 0.99, 1.0, 1.01, 2.0])
 @st.composite
 def edge_spectra(draw, split, cut):
     # a density conjugated by a random unitary: repeated levels moved apart by
-    # draws of split times CLUSTER_GAP, and a tail of eigenvalues at multiples
-    # of the relative cut near 1
+    # draws of split times 1e-10, and a tail of eigenvalues at multiples of
+    # the relative cut near 1
     n = draw(st.integers(2, 6))
     mu = draw(st.integers(1, n))
     levels = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=mu))
     head = np.array([draw(st.sampled_from(levels)) for _ in range(mu)])
     head /= head.sum()
-    head += np.array([draw(split) for _ in range(mu)]) * core.CLUSTER_GAP
+    head += np.array([draw(split) for _ in range(mu)]) * 1e-10
     tail = [draw(_NEAR) * cut * head.max() for _ in range(n - mu)]
     u = sampling.random_unitary(n, draw(st.integers(0, 2**32 - 1))).matrix
     m = (u * np.concatenate([head, tail])) @ u.conj().T
     return core.validate_density(m / np.trace(m).real)
 
 
-# levels stay exactly repeated: a split below CLUSTER_GAP lets the cluster
-# ordering pair a vector with its neighbour's value, an error up to the split
-# that exceeds 1e-11 (e.g. [[0.5, -2e-11], [-2e-11, 0.5]] comes back 4e-11 off)
+# levels split by 0 to 2e-10: every eigenvector must keep its own value, or
+# the round trip is off by up to the split (4e-11 for the explicit example)
 @settings(max_examples=100, deadline=None)
-@given(edge_spectra(st.just(0.0), pf.PURIFY_CLAMP))
+@given(edge_spectra(_NEAR | st.floats(0.0, 2.0), pf.PURIFY_CLAMP))
+@example(core.validate_density(np.array([[0.5, -2e-11], [-2e-11, 0.5]])))
 def test_roundtrip_property(rho):
     back = pf.partial_trace_b(pf.purify(rho))
     assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-11

@@ -325,20 +325,26 @@ def test_convex_split_rejects_pure():
 
 
 def reference_split(rho, tol=core.RANK_TOL):
-    # reference split: every component built as in convex_split, then passed
-    # through the full validate_density, one eigvalsh per component
+    # reference split: every component built as in convex_split, with the
+    # tail below the cut shared out as mu equal parts, then passed through
+    # the full validate_density, one eigvalsh per component
     dec = core.spectral_decompose(rho)
     mu = core.numerical_rank(dec.eigenvalues, tol)
     if mu < 2:
         raise AlreadyPureError(mu)
+    share = np.zeros((rho.n, rho.n), dtype=complex)
+    for j in range(mu, rho.n):
+        v = dec.eigenvectors[:, j]
+        share += dec.eigenvalues[j] / mu * np.outer(v, v.conj())
+    t = sum(dec.eigenvalues[mu:])
     weights, components = [], []
     for k in range(mu):
         lam_k = dec.eigenvalues[k]
         if 1.0 - lam_k <= tol:
             raise DegenerateTotalWeightError(lam_k)
         p_k = np.outer(dec.eigenvectors[:, k], dec.eigenvectors[:, k].conj())
-        tau = (rho.matrix - lam_k * p_k) / (1.0 - lam_k)
-        weights.append((1.0 - lam_k) / (mu - 1))
+        tau = (rho.matrix - share - lam_k * p_k) / (1.0 - lam_k - t / mu)
+        weights.append((1.0 - lam_k - t / mu) / (mu - 1))
         components.append(core.validate_density(tau, tol=1e-8).matrix)
     return np.array(weights), components
 
@@ -356,9 +362,9 @@ def split_spectra(draw):
         rest = 10.0 ** -draw(st.floats(2.0, 9.5))
         head[1:] *= rest / head[1:].sum()
         head[0] = 1.0 - rest
-    # repeated levels split by offsets on both sides of CLUSTER_GAP
+    # repeated levels split by offsets on both sides of 1e-10
     offsets = st.sampled_from([0.0, 0.5, 0.99, 1.0, 1.01, 2.0])
-    head += np.array([draw(offsets) for _ in range(mu)]) * core.CLUSTER_GAP
+    head += np.array([draw(offsets) for _ in range(mu)]) * 1e-10
     tail = [draw(st.sampled_from([0.0, 0.0, 1e-13, -1e-13, 1e-12])) for _ in range(n - mu)]
     return np.concatenate([head, tail]), draw(st.integers(0, 2**32 - 1))
 
