@@ -233,13 +233,14 @@ def validate_density(m, tol: float = VALIDATION_TOL) -> DensityMatrix:
 
 
 def _symmetrized_density(a: np.ndarray) -> DensityMatrix:
-    """Wrap ``(a + a^dag)/2``, renormalized to unit trace, without checks."""
-    h = 0.5 * (a + a.conj().T)
+    """Wrap ``(a + a^dag)/2``, renormalized to unit trace, unchecked, in a fresh buffer."""
+    h = a + a.conj().T
+    np.multiply(0.5, h, out=h)
     tr = float(np.trace(h).real)
     # numpy's complex division by 1.0 turns -0.0 into +0.0, so dividing by an
     # exact unit trace would change the signed zeros of emitted documents
     if tr != 1.0:
-        h = h / tr
+        np.true_divide(h, tr, out=h)
     return DensityMatrix(h)
 
 
@@ -305,10 +306,16 @@ def _order_degenerate_clusters(values: np.ndarray, vectors: np.ndarray) -> np.nd
     # clusters are maximal runs of bit-equal eigenvalues; inside a cluster
     # any basis is as good as any other, so pick the one with descending
     # lexicographic real parts, and every vector keeps its own value
-    cluster = np.concatenate(([0], np.cumsum(values[:-1] != values[1:])))
-    # lexsort's last key is the primary one; negated keys sort descending
-    # and the stable sort keeps equal columns in their eigh order
-    return vectors[:, np.lexsort((*-vectors.real[::-1], cluster))]
+    distinct = values[:-1] != values[1:]
+    # without a tie the sort is the identity; the gather stays, because its
+    # column-major output decides how later reductions over the vectors round
+    order = np.arange(values.size)
+    if not distinct.all():
+        cluster = np.concatenate(([0], np.cumsum(distinct)))
+        # lexsort's last key is the primary one; negated keys sort descending
+        # and the stable sort keeps equal columns in their eigh order
+        order = np.lexsort((*-vectors.real[::-1], cluster))
+    return vectors[:, order]
 
 
 def spectral_decompose(rho: DensityMatrix) -> SpectralDecomposition:

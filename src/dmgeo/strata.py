@@ -255,9 +255,12 @@ def convex_split(rho: DensityMatrix, tol: float = RANK_TOL) -> ConvexSplit:
     components = []
     for k in range(mu):
         lam_k = lam[k]
-        p_k = np.outer(dec.eigenvectors[:, k], dec.eigenvectors[:, k].conj())
         total = 1.0 - lam_k - t / mu
-        tau = (shared - lam_k * p_k) / total
+        # tau = (shared - lam_k P_k) / total, built in the buffer of P_k
+        tau = np.outer(dec.eigenvectors[:, k], dec.eigenvectors[:, k].conj())
+        np.multiply(lam_k, tau, out=tau)
+        np.subtract(shared, tau, out=tau)
+        np.true_divide(tau, total, out=tau)
         weights.append(total / (mu - 1))
         if trusted:
             components.append(_symmetrized_density(tau))

@@ -60,6 +60,19 @@ def test_validate_rejects_nan():
         core.validate_density(m)
 
 
+def test_validate_density_leaves_a_writable_input_unchanged():
+    # a writable complex128 input reaches the symmetrization as it is, not as
+    # a copy; the repaired result must be built in a buffer of its own
+    rng = np.random.default_rng(5)
+    m = sampling.random_density(4, 3, 2).matrix * (1.0 + 1e-12)
+    m += (rng.random((4, 4)) + 1j * rng.random((4, 4))) * 1e-13
+    for a in (m, np.asfortranarray(m)):
+        before = a.tobytes()
+        rho = core.validate_density(a)
+        assert a.tobytes() == before
+        assert rho.matrix.flags.c_contiguous and rho.matrix.strides == (64, 16)
+
+
 def test_validate_repairs_small_noise():
     # inputs inside tolerance come back exactly Hermitian with unit trace
     rng = np.random.default_rng(5)
@@ -238,3 +251,33 @@ def test_spectral_decompose_bitwise_equals_loop_reference(rho):
     dec = core.spectral_decompose(rho)
     assert dec.eigenvalues.tobytes() == values.tobytes()
     assert dec.eigenvectors.tobytes() == vectors.tobytes()
+
+
+# one exactly repeated level among distinct ones, on the diagonal so that eigh
+# keeps the tie bit-equal; eigh returns the tied columns against the
+# lexicographic order, so the sort has work to do
+PARTIAL_TIE = (0.25, 0.4, 0.1, 0.25)
+
+
+def test_spectral_decompose_partial_tie_equals_loop_reference():
+    rho = diag_density(*PARTIAL_TIE)
+    values, vectors = np.linalg.eigh(rho.matrix)
+    values = values[::-1].copy()
+    phased = loop_fix_phases(vectors[:, ::-1])
+    expected = loop_order_clusters(values, phased)
+    assert values[1] == values[2] and not np.array_equal(expected, phased)
+    dec = core.spectral_decompose(rho)
+    assert dec.eigenvalues.tobytes() == values.tobytes()
+    assert dec.eigenvectors.tobytes() == expected.tobytes()
+
+
+def test_spectral_decompose_layout_does_not_depend_on_ties():
+    # the layout decides how later reductions over the vectors round, such as
+    # the norm inside purify, so the untied path must keep the tied one's:
+    # column-major, as the column gather leaves it
+    untied = core.spectral_decompose(sampling.random_density(4, 4, 0))
+    tied = core.spectral_decompose(diag_density(*PARTIAL_TIE))
+    assert np.all(np.diff(untied.eigenvalues) < 0)
+    for dec in (untied, tied):
+        v = dec.eigenvectors
+        assert (v.flags.c_contiguous, v.flags.f_contiguous, v.strides) == (False, True, (16, 64))

@@ -73,6 +73,14 @@ def test_convex_split_weights_and_reconstruction_rank_tol_tail():
     _check_split(core.validate_density((u * lam) @ u.conj().T))
 
 
+# two levels 5e-11 apart are no tie: a rule that merged them would pair each
+# vector with its neighbour's value and miss rho by more than 1e-11
+def test_convex_split_weights_and_reconstruction_near_tie():
+    lam = np.array([0.4 + 0.25e-10, 0.4 - 0.25e-10, 0.2])
+    u = sampling.random_unitary(3, 1).matrix
+    _check_split(core.validate_density((u * lam) @ u.conj().T))
+
+
 @st.composite
 def ball_points(draw):
     """Points of the closed unit ball: the centre, the sphere and radii
