@@ -127,7 +127,7 @@ def _triangle(n: int) -> tuple:
     The strict upper triangle's indices ``(i, j)``, i < j in row-major
     order, and the ``(n - 1, n)`` diagonal block whose row k - 1 is
     diag(1, .., 1, -k, 0, ..).  An entry holds O(n^2) numbers; the n^4
-    basis itself is built per call.
+    basis itself is built per ``traceless_hermitian_basis`` call.
     """
     i, j = np.triu_indices(n, k=1)
     diag = np.tri(n - 1, n)
@@ -135,6 +135,73 @@ def _triangle(n: int) -> tuple:
     for table in (i, j, diag):
         table.flags.writeable = False
     return i, j, diag
+
+
+@lru_cache(maxsize=16)
+def _tangent_table(n: int) -> tuple:
+    """Read-only gather table of the size-n tangent stack, built once per n.
+
+    Entry e of ``(dest, p, q, alpha, beta, c)`` says that the flattened
+    stack holds ``c * (alpha * x[p] - beta * x[q])`` at flat index
+    ``dest``, where x is rho's real view ``[Re rho_00, Im rho_00, Re
+    rho_01, ..., 0.0]``.  Over all entries that is flatten(i[H_k, rho])
+    for every basis matrix H_k, rounded as the matrix products round it:
+    the entry D_ab = (H rho)_ab - (rho H)_ab, whose terms are exact but
+    for one rounding of a diagonal weight times rho_ab, then the factor i
+    (Re C = -Im D, Im C = Re D), then the sqrt(2) of the flatten.  Entries
+    that are zero for every rho are left out, so the table holds O(n^3)
+    entries.
+    """
+    i, j, diag = _triangle(n)
+    nn, pairs, zero = n * n, i.size, 2 * n * n
+    # pair t = (i, j) makes rows i, j and columns i, j of its commutators
+    # nonzero: the upper positions (i, k >= i), (j, k >= j), (k < j, j)
+    # with k != i, and (k < i, i) list each of them once
+    k, ti, tj = np.arange(n), i[:, None], j[:, None]
+    keep = np.stack([k >= ti, k >= tj, (k < tj) & (k != ti), k < ti])
+    t = np.broadcast_to(np.arange(pairs)[:, None], keep.shape)[keep]
+    a = np.stack(np.broadcast_arrays(ti, tj, k, k))[keep]
+    b = np.stack(np.broadcast_arrays(k, k, tj, ti))[keep]
+    ii, jj = i[t], j[t]
+    # with sigma swapping i and j, (H rho)_ab reads rho[sigma a, b] when a
+    # is i or j, and (rho H)_ab reads rho[a, sigma b] when b is i or j; a
+    # missing side reads the 0.0 at x[zero]
+    has_x, has_y = (a == ii) | (a == jj), (b == ii) | (b == jj)
+    x_re = np.where(has_x, 2 * ((ii + jj - a) * n + b), zero)
+    y_re = np.where(has_y, 2 * (a * n + ii + jj - b), zero)
+    x_im = np.where(has_x, x_re + 1, zero)
+    y_im = np.where(has_y, y_re + 1, zero)
+    # the antisymmetric H has -i at (i, j) and i at (j, i), so its D is
+    # i * (s_x rho[sigma a, b] - s_y rho[a, sigma b])
+    s_x = np.where(a == ii, -1.0, 1.0)
+    s_y = np.where(b == jj, -1.0, 1.0)
+    # diagonal basis row r: D_ab = d_a rho_ab - d_b rho_ab, zero unless d_a != d_b
+    r, u = np.nonzero(diag[:, i] != diag[:, j])
+    da, db = diag[r, i[u]], diag[r, j[u]]
+    d_re = 2 * (i[u] * n + j[u])
+    diag_row = (nn - n + r) * nn
+
+    # -Im D goes to the Re C column, scaled by -1 on the diagonal and by
+    # -sqrt(2) above it; Re D goes to the Im C column, scaled by sqrt(2)
+    sym_row, anti_row = 2 * t * nn, (2 * t + 1) * nn
+    on_diag, above = a == b, a < b
+    col = n + a * n - a * (a + 1) // 2 + b - a - 1
+    sqrt2 = np.sqrt(2.0)
+    re_c_col, im_c_col = np.where(on_diag, a, col), col + pairs
+    re_c_scale = np.where(on_diag, -1.0, -sqrt2)
+    ones, im_c_scale, d_scale = np.ones(t.size), np.full(t.size, sqrt2), np.full(u.size, sqrt2)
+    parts = [
+        ((sym_row + re_c_col, x_im, y_im, ones, ones, re_c_scale), ...),
+        ((anti_row + re_c_col, x_re, y_re, s_x, s_y, re_c_scale), ...),
+        ((sym_row + im_c_col, x_re, y_re, ones, ones, im_c_scale), above),
+        ((anti_row + im_c_col, x_im, y_im, -s_x, -s_y, im_c_scale), above),
+        ((diag_row + n + u, d_re + 1, d_re + 1, da, db, -d_scale), ...),
+        ((diag_row + n + pairs + u, d_re, d_re, da, db, d_scale), ...),
+    ]
+    table = tuple(np.concatenate([part[f][sel] for part, sel in parts]) for f in range(6))
+    for v in table:
+        v.flags.writeable = False
+    return table
 
 
 def traceless_hermitian_basis(n: int) -> np.ndarray:
@@ -179,6 +246,11 @@ def tangent_space_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
     points the direction count is ill-posed and the call is rejected.
     A singular-value spectrum without a clear cut (ratio below
     ``GAP_RATIO`` at the threshold) raises rather than guessing.
+
+    The commutator rows are gathered from rho's entries through a table
+    built once per n (O(n^3) entries), so a call builds no basis matrix
+    and allocates one real ``(n^2 + mu - 2, n^2)`` stack plus O(n^3)
+    gather buffers.
     """
     dec = spectral_decompose(rho)
     mu = numerical_rank(dec.eigenvalues, RANK_TOL)
@@ -189,17 +261,21 @@ def tangent_space_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
             f"nonzero eigenvalues closer than {GENERIC_EPS:g}"
         )
 
-    m = rho.matrix
-    basis = traceless_hermitian_basis(rho.n)
-    commutators = basis @ m
-    commutators -= m @ basis
-    commutators *= 1.0j
-    del basis  # at most three n^4-sized arrays are alive at once
+    nn = rho.n * rho.n
+    dest, p, q, alpha, beta, c = _tangent_table(rho.n)
+    x = np.append(rho.matrix.ravel().view(np.float64), 0.0)
+    values = x[p]
+    values *= alpha
+    other = x[q]
+    other *= beta
+    values -= other
+    del other
+    values *= c
+    stack = np.zeros((nn + mu - 2, nn))
+    stack.ravel()[dest] = values
     vecs = dec.eigenvectors[:, :mu].T
     projectors = vecs[:, :, None] * vecs.conj()[:, None, :]
-    stack = np.concatenate(
-        [flatten_hermitian(commutators), flatten_hermitian(projectors[:-1] - projectors[1:])]
-    )
+    stack[nn - 1 :] = flatten_hermitian(projectors[:-1] - projectors[1:])
     if not stack.size:
         return 0
 

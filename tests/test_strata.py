@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dmgeo import core, sampling, strata
+from dmgeo import core, documents, sampling, strata
 from dmgeo.errors import (
     AlreadyPureError,
     DegenerateTotalWeightError,
@@ -187,6 +189,9 @@ def loop_stack(rho):
 
 
 def test_tangent_stack_bitwise_equals_loop_reference(monkeypatch):
+    # equal in every value; "+ 0.0" maps -0.0 to +0.0 and changes no other
+    # bit, since the loop's matmul zero-sums and the gather's exact
+    # subtractions give zeros of different signs
     stacks = []
     svd = np.linalg.svd
 
@@ -194,14 +199,49 @@ def test_tangent_stack_bitwise_equals_loop_reference(monkeypatch):
         stacks.append(a)
         return svd(a, *args, **kwargs)
 
+    def check(rho):
+        del stacks[:]
+        strata.tangent_space_rank(rho)
+        ref = loop_stack(rho)
+        if not ref.size:
+            assert stacks == []
+            return
+        (stack,) = stacks
+        assert stack.shape == ref.shape
+        assert (stack + 0.0).tobytes() == (ref + 0.0).tobytes()
+        s = svd(stack, compute_uv=False)
+        assert s.tobytes() == svd(ref, compute_uv=False).tobytes()
+
     monkeypatch.setattr(np.linalg, "svd", capture)
     for n in range(2, 9):
         for mu in range(1, n + 1):
-            rho = sampling.random_generic_density(n, mu, 7000 + 10 * n + mu)
-            strata.tangent_space_rank(rho)
-            ref = loop_stack(rho)
-            assert stacks[-1].shape == ref.shape
-            assert stacks[-1].tobytes() == ref.tobytes()
+            check(sampling.random_generic_density(n, mu, 7000 + 10 * n + mu))
+    # non-Hermitian input as parse_matrix_document accepts it: a table that
+    # read rho_ba as conj(rho_ab) would pass the loop above
+    rng = np.random.default_rng(7100)
+    for n in range(1, 9):
+        for mu in range(1, n + 1):
+            m = sampling.random_generic_density(n, mu, 7100 + 10 * n + mu).matrix
+            noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            m = m + 1e-13 * noise
+            assert np.abs(m - m.conj().T).max() > 0.0
+            core.check_hermitian_unit_trace(m, documents.HERMITIAN_TRACE_TOL)
+            check(core.DensityMatrix(m))
+
+
+def test_tangent_rank_allocates_one_real_stack():
+    # after the per-n tables are built, a call allocates the real stack and
+    # O(n^3) gather buffers, none of the complex n^4 commutator temporaries
+    n, mu = 12, 6
+    rho = sampling.random_generic_density(n, mu, 1206)
+    assert strata.tangent_space_rank(rho) == strata.stratum_dimension(n, mu)
+    tracemalloc.start()
+    try:
+        strata.tangent_space_rank(rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * (n * n + mu - 2) * n * n
 
 
 def test_traceless_hermitian_basis_is_orthogonal_basis():
@@ -251,7 +291,7 @@ def test_triangle_tables_built_once_per_size(monkeypatch):
 
 def test_triangle_tables_read_only():
     for n in (1, 2, 5):
-        for table in strata._triangle(n):
+        for table in strata._triangle(n) + strata._tangent_table(n):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[...] = 0
