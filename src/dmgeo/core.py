@@ -53,13 +53,47 @@ def _frozen(a, dtype=complex) -> np.ndarray:
     return out
 
 
+def _fresh(cls, *arrays):
+    """Wrap arrays the package has just built in ``cls``, frozen in place.
+
+    The public constructors copy their input, since the caller may keep
+    writing to it; a kernel's fresh buffer has no other owner, so here
+    each array is marked read-only without a copy.  The arrays must
+    already have the field's dtype, and the caller keeps no writable
+    reference to them.
+    """
+    obj = object.__new__(cls)
+    for name, a in zip(cls.__dataclass_fields__, arrays):
+        a.flags.writeable = False
+        object.__setattr__(obj, name, a)
+    return obj
+
+
+def _divide_real(a: np.ndarray, d: float):
+    """Divide the complex array ``a`` in place by the real ``d``, with the
+    bits ``np.true_divide(a, d)`` gives.
+
+    numpy divides by ``d + 0j`` with Smith's rule, ``re' = (re + im*0) * s``
+    and ``im' = (im - re*0) * s`` with ``s = 1/d``; one complex multiply by
+    ``s - 0j`` forms the same two expressions, the ``-0.0`` giving each
+    zero term its sign.  The two differ only where a nonzero part times
+    ``s`` underflows to zero, which ``s > 0.5``, i.e. ``0 < d < 2``, rules
+    out; any other ``d``, nan included, takes numpy's division and its
+    warnings.
+    """
+    if 0.0 < d < 2.0:
+        np.multiply(a, complex(1.0 / d, -0.0), out=a)
+    else:
+        np.true_divide(a, d, out=a)
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, positive semidefinite matrix of unit trace.
 
     Instances are meant to be produced by :func:`validate_density` or by
     the operations in this package, all of which establish the
-    invariants; the constructor itself only freezes the array.
+    invariants; the constructor itself only copies and freezes the array.
     """
 
     matrix: np.ndarray
@@ -233,15 +267,16 @@ def validate_density(m, tol: float = VALIDATION_TOL) -> DensityMatrix:
 
 
 def _symmetrized_density(a: np.ndarray) -> DensityMatrix:
-    """Wrap ``(a + a^dag)/2``, renormalized to unit trace, unchecked, in a fresh buffer."""
+    """Wrap ``(a + a^dag)/2``, renormalized to unit trace, unchecked, in a
+    fresh buffer frozen in place."""
     h = a + a.conj().T
     np.multiply(0.5, h, out=h)
     tr = float(np.trace(h).real)
     # numpy's complex division by 1.0 turns -0.0 into +0.0, so dividing by an
     # exact unit trace would change the signed zeros of emitted documents
     if tr != 1.0:
-        np.true_divide(h, tr, out=h)
-    return DensityMatrix(h)
+        _divide_real(h, tr)
+    return _fresh(DensityMatrix, h)
 
 
 def make_pure_state(amplitudes) -> PureState:
@@ -338,7 +373,7 @@ def spectral_decompose(rho: DensityMatrix) -> SpectralDecomposition:
     values = values[::-1].copy()
     vectors = vectors[:, ::-1]
     vectors = _order_degenerate_clusters(values, (vectors.T * _phases(vectors)[:, None]).T)
-    return SpectralDecomposition(values, vectors)
+    return _fresh(SpectralDecomposition, values, vectors)
 
 
 def numerical_rank(values, tol: float = RANK_TOL) -> int:

@@ -18,6 +18,7 @@ from .core import (
     DensityMatrix,
     PureState,
     Unitary,
+    _divide_real,
     _lapack,
     _phase_fixed_qr,
     _phases,
@@ -67,7 +68,7 @@ def purify(rho: DensityMatrix) -> PureState:
     lam = dec.eigenvalues.copy()
     lam[lam < PURIFY_CLAMP * lam[0]] = 0.0
     c = dec.eigenvectors * np.sqrt(lam)
-    c = c / np.linalg.norm(c)
+    _divide_real(c, np.linalg.norm(c))
     return PureState(c.reshape(-1))
 
 

@@ -1,9 +1,11 @@
 """Rank strata of the density-matrix manifold and the qubit Bloch chart.
 
 Rank-mu density matrices of size N form a stratum of real dimension
-mu(2N - mu) - 1 with stabilizer U(N - mu); both formulas are exposed
-directly and verified numerically through the tangent-space rank at
-generic points.
+mu(2N - mu) - 1, exposed directly and verified numerically through the
+tangent-space rank at generic points.  The stabilizer dimension (N - mu)^2
+is that of the fibre's U(N - mu), the unitaries on B that fix a
+purification; conjugation of rho itself has a stabilizer of dimension
+mu + (N - mu)^2 at a generic point.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .core import (
     RANK_TOL,
     DensityMatrix,
     Unitary,
+    _divide_real,
     _lapack,
     _symmetrized_density,
     check_hermitian_unit_trace,
@@ -99,7 +102,9 @@ def stratum_dimension(n: int, mu: int) -> int:
 
 
 def stabilizer_dimension(n: int, mu: int) -> int:
-    """Real dimension (n - mu)^2 of the stabilizer group U(n - mu)."""
+    """Real dimension (n - mu)^2 of U(n - mu), the B-side unitaries that fix
+    a purification of a rank-mu state (not the stabilizer of rho under
+    conjugation, which has dimension mu + (n - mu)^2 at a generic point)."""
     check_rank_range(n, mu)
     return (n - mu) ** 2
 
@@ -336,7 +341,7 @@ def convex_split(rho: DensityMatrix, tol: float = RANK_TOL) -> ConvexSplit:
         tau = np.outer(dec.eigenvectors[:, k], dec.eigenvectors[:, k].conj())
         np.multiply(lam_k, tau, out=tau)
         np.subtract(shared, tau, out=tau)
-        np.true_divide(tau, total, out=tau)
+        _divide_real(tau, total)
         weights.append(total / (mu - 1))
         if trusted:
             components.append(_symmetrized_density(tau))

@@ -83,6 +83,53 @@ def test_validate_repairs_small_noise():
     assert abs(np.trace(rho.matrix) - 1.0) < 1e-15
 
 
+#: divisors on both sides of the multiply's 0 < d < 2 range, nan included
+DIVISORS = (1e-300, 1e-12, 0.5, 1 - 2**-53, 1.0, 1 + 2**-52, np.nextafter(2.0, 0.0),
+            2.0, 3.0, 25.0, 1e300, np.nan)
+
+
+def test_divide_real_equals_true_divide_bit_for_bit():
+    # every pairing of these parts as (re, im): the four signed-zero
+    # combinations, subnormals, and magnitudes that overflow or underflow
+    parts = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 0.3]
+    re, im = np.meshgrid(parts, parts)
+    grid = np.empty(re.shape, dtype=complex)
+    grid.real, grid.imag = re, im
+    with np.errstate(all="ignore"):
+        for a in (grid, np.asfortranarray(grid)):
+            for d in DIVISORS:
+                out = a.copy(order="K")
+                core._divide_real(out, d)
+                assert out.strides == a.strides
+                assert out.tobytes() == np.true_divide(a, d).tobytes(), d
+        # past d = 2 a subnormal part times 1/d underflows to a zero that the
+        # multiply's zero term can flip, where the division keeps its sign
+        bare = np.multiply(grid, complex(1.0 / 25.0, -0.0))
+        assert bare.tobytes() != np.true_divide(grid, 25.0).tobytes()
+
+
+def test_public_constructors_copy_and_package_results_are_frozen():
+    # a caller may keep writing to what it handed in, so the public
+    # constructors copy; results the package builds itself are frozen in
+    # place and keep their layout
+    a = np.diag([0.75, 0.25]).astype(complex)
+    amplitudes = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    rho, psi = core.DensityMatrix(a), core.PureState(amplitudes)
+    a[0, 0] = amplitudes[0] = 0.5
+    assert rho.matrix[0, 0] == 0.75 and psi.amplitudes[0] == 1.0
+
+    rho = core.validate_density(sampling.random_density(4, 4, 2).matrix)
+    dec = core.spectral_decompose(rho)
+    split = strata.convex_split(rho)
+    for m in (rho.matrix, *(c.matrix for c in split.components)):
+        assert not m.flags.writeable
+        assert (m.flags.c_contiguous, m.strides) == (True, (64, 16))
+    assert not dec.eigenvalues.flags.writeable
+    v = dec.eigenvectors
+    assert not v.flags.writeable
+    assert (v.flags.f_contiguous, v.strides) == (True, (16, 64))
+
+
 def test_spectral_maximally_mixed():
     dec = core.spectral_decompose(core.validate_density(np.eye(2, dtype=complex) / 2))
     np.testing.assert_array_equal(dec.eigenvalues, [0.5, 0.5])

@@ -47,6 +47,66 @@ def test_stabilizer_dimension():
     assert strata.stabilizer_dimension(4, 2) == 4
 
 
+#: (N, mu) points at which both stabilizers are measured
+STABILIZER_POINTS = [(3, 1), (3, 2), (4, 2), (5, 3), (5, 5)]
+
+
+def _u_n_basis(n):
+    """The n^2 Hermitian matrices E_jj, E_jk + E_kj and i(E_kj - E_jk), j < k."""
+    basis = []
+    for j in range(n):
+        for k in range(j, n):
+            e = np.zeros((n, n), dtype=complex)
+            e[j, k] = e[k, j] = 1.0
+            basis.append(e)
+            if j < k:
+                e = np.zeros((n, n), dtype=complex)
+                e[j, k], e[k, j] = -1.0j, 1.0j
+                basis.append(e)
+    return basis
+
+
+def _generic_point(n, mu):
+    """rho = V diag(lam) V^dag with mu distinct nonzero lam, and C = V sqrt(lam) W^T.
+
+    C is the coefficient matrix of a purification of rho, C C^dag = rho,
+    turned by a B-side unitary W so its kernel is not a coordinate block.
+    """
+    rng = np.random.default_rng(10 * n + mu)
+    v, w = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+            for _ in range(2))
+    lam = np.zeros(n)
+    lam[:mu] = np.arange(mu, 0, -1) / (mu * (mu + 1) / 2)
+    rho = (v * lam) @ v.conj().T
+    c = (v * np.sqrt(lam)) @ w.T
+    np.testing.assert_allclose(c @ c.conj().T, rho, atol=1e-14)
+    return rho, c
+
+
+def _kernel_dim(n, images):
+    # n^2 real directions in, each image flattened to its real parts
+    rows = np.array([np.concatenate([x.real.ravel(), x.imag.ravel()]) for x in images])
+    return n * n - np.linalg.matrix_rank(rows)
+
+
+@pytest.mark.parametrize("n, mu", STABILIZER_POINTS)
+def test_conjugation_stabilizer_is_mu_plus_fibre(n, mu):
+    # X -> i[X, rho] over u(n) fixes rho's commutant: a U(1) per nonzero
+    # eigenvalue and the U(N - mu) of its kernel, not (N - mu)^2 alone
+    rho, _ = _generic_point(n, mu)
+    images = [1j * (x @ rho - rho @ x) for x in _u_n_basis(n)]
+    assert _kernel_dim(n, images) == mu + (n - mu) ** 2
+
+
+@pytest.mark.parametrize("n, mu", STABILIZER_POINTS)
+def test_stabilizer_dimension_is_b_side_stabilizer(n, mu):
+    # the generator of C -> C v^T at v = exp(iH) is C -> C (iH)^T; its
+    # kernel is the U(N - mu) that fixes the purification
+    _, c = _generic_point(n, mu)
+    images = [c @ (1j * h).T for h in _u_n_basis(n)]
+    assert _kernel_dim(n, images) == strata.stabilizer_dimension(n, mu)
+
+
 def test_rank_range_rejected():
     for bad in ((2, 0), (2, 3), (0, 1)):
         with pytest.raises(RankOutOfRangeError):
