@@ -266,10 +266,14 @@ def validate_density(m, tol: float = VALIDATION_TOL) -> DensityMatrix:
     return _symmetrized_density(a)
 
 
-def _symmetrized_density(a: np.ndarray) -> DensityMatrix:
+def _symmetrized_density(a: np.ndarray, out: np.ndarray | None = None) -> DensityMatrix:
     """Wrap ``(a + a^dag)/2``, renormalized to unit trace, unchecked, in a
-    fresh buffer frozen in place."""
-    h = a + a.conj().T
+    fresh buffer frozen in place.
+
+    ``out``, when given, is the fresh ``complex`` buffer to build it in,
+    with a's shape; it must not overlap ``a``.
+    """
+    h = np.add(a, a.conj().T, out=out)
     np.multiply(0.5, h, out=h)
     tr = float(np.trace(h).real)
     # numpy's complex division by 1.0 turns -0.0 into +0.0, so dividing by an

@@ -9,7 +9,6 @@ value bit for bit.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from itertools import chain
 
@@ -180,6 +179,9 @@ def report_document(
 
 
 def digest(text: str) -> str:
+    # hashlib loads OpenSSL (~3.6 MB), so only a process that digests pays
+    import hashlib
+
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -19,6 +19,7 @@ from .core import (
     PureState,
     Unitary,
     _divide_real,
+    _fresh,
     _lapack,
     _phase_fixed_qr,
     _phases,
@@ -69,7 +70,9 @@ def purify(rho: DensityMatrix) -> PureState:
     lam[lam < PURIFY_CLAMP * lam[0]] = 0.0
     c = dec.eigenvectors * np.sqrt(lam)
     _divide_real(c, np.linalg.norm(c))
-    return PureState(c.reshape(-1))
+    # c has the eigenvectors' column-major layout; flatten makes the one
+    # row-major copy that the amplitudes need
+    return _fresh(PureState, c.flatten())
 
 
 def partial_trace_b(psi: PureState) -> DensityMatrix:

@@ -14,6 +14,7 @@ from .core import (
     DensityMatrix,
     PureState,
     Unitary,
+    _fresh,
     _lapack,
     _phase_fixed_qr,
     _symmetrized_density,
@@ -64,7 +65,7 @@ def random_unitary(n: int, seed) -> Unitary:
         raise RankOutOfRangeError(f"n = {n}")
     rng = np.random.default_rng(seed)
     g = complex_normal(rng, (n, n))
-    return Unitary(_phase_fixed_qr(g))
+    return _fresh(Unitary, _phase_fixed_qr(g))
 
 
 def _draw_until(n, mu, seed, accept, what) -> DensityMatrix:

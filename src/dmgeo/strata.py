@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -23,11 +23,11 @@ from .core import (
     _divide_real,
     _lapack,
     _symmetrized_density,
+    check_density,
     check_hermitian_unit_trace,
     check_rank_range,
     numerical_rank,
     spectral_decompose,
-    validate_density,
 )
 from .errors import (
     AlreadyPureError,
@@ -125,7 +125,26 @@ def classify(rho: DensityMatrix, tol: float = RANK_TOL) -> StratumInfo:
     )
 
 
-@lru_cache(maxsize=16)
+#: per-n layout tables are kept between calls up to this n; larger sizes,
+#: whose tangent table grows as n^3 (50.7 MiB at n = 64), build them per call
+TABLE_CACHE_MAX_N = 16
+
+
+def _small_n_cache(build):
+    """Cache ``build(n)`` for n up to ``TABLE_CACHE_MAX_N`` and call it
+    afresh above; the tables of every size up to 16 take 3.2 MiB."""
+    cached = lru_cache(maxsize=None)(build)
+
+    @wraps(build)
+    def tables(n: int) -> tuple:
+        return cached(n) if n <= TABLE_CACHE_MAX_N else build(n)
+
+    tables.cache_clear = cached.cache_clear
+    tables.cache_info = cached.cache_info
+    return tables
+
+
+@_small_n_cache
 def _triangle(n: int) -> tuple:
     """Read-only layout tables of the size-n Hermitian basis, built once per n.
 
@@ -142,7 +161,7 @@ def _triangle(n: int) -> tuple:
     return i, j, diag
 
 
-@lru_cache(maxsize=16)
+@_small_n_cache
 def _tangent_table(n: int) -> tuple:
     """Read-only gather table of the size-n tangent stack, built once per n.
 
@@ -249,6 +268,12 @@ def tangent_space_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
 
     The input must have distinct nonzero eigenvalues; at non-generic
     points the direction count is ill-posed and the call is rejected.
+    Below full rank the eigenvalues must also keep clear of the rank cut
+    by the factor k = sqrt(n (n - 1) / 2): the smallest kept one at least
+    ``k * tol * max(lam_1, 1)``, and the dropped ones spread by at most
+    ``tol * (lam_1 - lam_n) / k``.  Closer to the cut the singular-value
+    cut can disagree with the eigenvalue cut, and the count would match
+    no stratum.
     A singular-value spectrum without a clear cut (ratio below
     ``GAP_RATIO`` at the threshold) raises rather than guessing.
 
@@ -265,9 +290,21 @@ def tangent_space_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
         raise NonGenericSpectrumError(
             f"nonzero eigenvalues closer than {GENERIC_EPS:g}"
         )
+    # the basis norms run from sqrt(2) to sqrt(n (n - 1)), so an eigenvalue
+    # difference g gives singular values between sqrt(2) g and sqrt(n (n - 1)) g
+    n = rho.n
+    dropped = dec.eigenvalues[mu:]
+    k = math.sqrt(n * (n - 1) / 2)
+    if 0 < mu < n and (
+        lam[-1] < k * tol * max(lam[0], 1.0)
+        or k * (dropped[0] - dropped[-1]) > tol * (lam[0] - dropped[-1])
+    ):
+        raise NonGenericSpectrumError(
+            f"an eigenvalue lies within a factor {k:.3g} of the rank cut"
+        )
 
-    nn = rho.n * rho.n
-    dest, p, q, alpha, beta, c = _tangent_table(rho.n)
+    nn = n * n
+    dest, p, q, alpha, beta, c = _tangent_table(n)
     x = np.append(rho.matrix.ravel().view(np.float64), 0.0)
     values = x[p]
     values *= alpha
@@ -307,6 +344,12 @@ def convex_split(rho: DensityMatrix, tol: float = RANK_TOL) -> ConvexSplit:
     Hermiticity and trace, and for positivity through its eigenvalues.
     Near-pure rho, whose rounding error the division by 1 - lam_max blows
     up towards ``SPLIT_TOL``, instead gets every component validated.
+
+    The components are read-only slices of one ``(mu, n, n)`` block, so
+    keeping one keeps the block (mu * n^2 * 16 bytes).  That changes no
+    bit; it lets malloc reuse the block from one large split to the next
+    instead of faulting it in again, which costs the same as mu arrays
+    once malloc's mmap and trim thresholds are pinned high.
     """
     dec = spectral_decompose(rho)
     lam = dec.eigenvalues
@@ -329,24 +372,29 @@ def convex_split(rho: DensityMatrix, tol: float = RANK_TOL) -> ConvexSplit:
         if smallest < -SPLIT_TOL:
             raise NotPositiveError(smallest)
     # at full rank T is an exact +0.0, and subtracting it keeps every bit
-    below = dec.eigenvectors[:, mu:]
+    vectors = dec.eigenvectors
+    below = vectors[:, mu:]
     shared = rho.matrix - (below * (lam[mu:] / mu)) @ below.conj().T
     t = lam[mu:].sum()
+    n = rho.n
+    block = np.empty((mu, n, n), dtype=complex)
+    tau = np.empty((n, n), dtype=complex)
     weights = []
     components = []
     for k in range(mu):
         lam_k = lam[k]
         total = 1.0 - lam_k - t / mu
-        # tau = (shared - lam_k P_k) / total, built in the buffer of P_k
-        tau = np.outer(dec.eigenvectors[:, k], dec.eigenvectors[:, k].conj())
+        # tau = (shared - lam_k P_k) / total in one scratch for every k,
+        # symmetrized into the block's slice k
+        np.outer(vectors[:, k], vectors[:, k].conj(), out=tau)
         np.multiply(lam_k, tau, out=tau)
         np.subtract(shared, tau, out=tau)
         _divide_real(tau, total)
         weights.append(total / (mu - 1))
-        if trusted:
-            components.append(_symmetrized_density(tau))
-        else:
-            components.append(validate_density(tau, tol=SPLIT_TOL))
+        if not trusted:
+            check_density(tau, SPLIT_TOL)
+        components.append(_symmetrized_density(tau, out=block[k]))
+    block.flags.writeable = False
     return ConvexSplit(np.array(weights), tuple(components))
 
 

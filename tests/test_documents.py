@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -170,6 +172,24 @@ def test_digest_known_value():
     assert docs.digest("abc") == (
         "sha256:ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
     )
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    # OpenSSL's _hashlib costs ~3.6 MB of RSS; only digest() should load it
+    code = (
+        "import sys, dmgeo.cli\n"
+        "print('_hashlib' in sys.modules)\n"
+        "from dmgeo import documents\n"
+        "print(documents.digest('abc'))\n"
+        "print(documents.digest(''))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert out == [
+        "False",
+        "sha256:ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        "sha256:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ]
 
 
 def test_report_document_shape():

@@ -207,6 +207,37 @@ def test_tangent_rank_resolves_eigenvalue_1e8():
         assert strata.tangent_space_rank(rho) == strata.stratum_dimension(7, 6)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_tangent_rank_near_cut_returns_own_stratum_or_raises(n):
+    # lam_2 = 1e-9 sits on the eigenvalue cut; without the near-cut guard
+    # some seeds kept it but cut its motions, a count of no stratum
+    lam = np.array([1 - 1e-9, 1e-9] + [0.0] * (n - 2))
+    for seed in range(12):
+        u = sampling.random_unitary(n, seed).matrix
+        rho = core.validate_density((u * lam) @ u.conj().T)
+        mu = core.numerical_rank(core.spectral_decompose(rho).eigenvalues)
+        try:
+            rank = strata.tangent_space_rank(rho)
+        except NonGenericSpectrumError:
+            continue
+        assert rank == strata.stratum_dimension(n, mu)
+
+
+def test_tangent_rank_refuses_both_sides_of_the_cut():
+    n = 4
+    u = sampling.random_unitary(n, 7).matrix
+    for lam, mu in (([0.6, 0.4 - 2e-9, 2e-9, 0.0], 3), ([0.6, 0.4 - 9e-10, 9e-10, 0.0], 2)):
+        rho = core.validate_density((u * np.array(lam)) @ u.conj().T)
+        assert core.numerical_rank(core.spectral_decompose(rho).eigenvalues) == mu
+        with pytest.raises(NonGenericSpectrumError):
+            strata.tangent_space_rank(rho)
+    # clear of the cut: above 2.45e-9 = sqrt(n (n - 1) / 2) * 1e-9, and below
+    # 0.6 * 1e-9 / 2.45 = 2.45e-10
+    for lam, mu in (([0.6, 0.4 - 3e-9, 3e-9, 0.0], 3), ([0.6, 0.4 - 2e-10, 2e-10, 0.0], 2)):
+        rho = core.validate_density((u * np.array(lam)) @ u.conj().T)
+        assert strata.tangent_space_rank(rho) == strata.stratum_dimension(n, mu)
+
+
 def loop_basis(n):
     # reference: the traceless Hermitian basis built one matrix at a time
     basis = []
@@ -357,6 +388,27 @@ def test_triangle_tables_read_only():
                 table[...] = 0
 
 
+def test_tables_above_cache_bound_are_built_per_call():
+    n = strata.TABLE_CACHE_MAX_N + 1
+    rho = sampling.random_generic_density(n, 2, 1702)
+    assert strata.tangent_space_rank(rho) == strata.stratum_dimension(n, 2)
+    sizes = strata._triangle.cache_info().currsize, strata._tangent_table.cache_info().currsize
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        assert strata.tangent_space_rank(rho) == strata.stratum_dimension(n, 2)
+        strata.flatten_hermitian(rho.matrix)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the n = 17 tangent table alone holds 0.9 MiB
+    assert retained < 64 * 1024
+    assert (strata._triangle.cache_info().currsize,
+            strata._tangent_table.cache_info().currsize) == sizes
+    assert strata._triangle(n)[0] is not strata._triangle(n)[0]
+    assert strata._triangle(n - 1)[0] is strata._triangle(n - 1)[0]
+
+
 def test_mutated_basis_leaves_later_calls_unchanged():
     n, mu = 4, 3
     rho = sampling.random_generic_density(n, mu, 4243)
@@ -487,6 +539,82 @@ def test_convex_split_bitwise_equals_revalidated_reference(case):
     assert len(split.components) == len(components)
     for comp, ref in zip(split.components, components):
         assert np.array_equal(comp.matrix, ref)
+
+
+def separate_components(rho):
+    # reference: each component in its own buffers, built as convex_split
+    # built them before they shared one block: np.outer, times lam_k,
+    # shared minus it, the real division, then _symmetrized_density, or the
+    # full validate_density where the spectrum is not trusted
+    dec = core.spectral_decompose(rho)
+    lam = dec.eigenvalues
+    mu = core.numerical_rank(lam)
+    trusted = rho.n * np.finfo(float).eps * strata.SPLIT_ERROR_MARGIN <= (
+        strata.SPLIT_TOL * (1.0 - lam[0]))
+    below = dec.eigenvectors[:, mu:]
+    shared = rho.matrix - (below * (lam[mu:] / mu)) @ below.conj().T
+    t = lam[mu:].sum()
+    components = []
+    for k in range(mu):
+        tau = np.outer(dec.eigenvectors[:, k], dec.eigenvectors[:, k].conj())
+        tau = shared - np.multiply(lam[k], tau)
+        core._divide_real(tau, 1.0 - lam[k] - t / mu)
+        if trusted:
+            components.append(core._symmetrized_density(tau).matrix)
+        else:
+            components.append(core.validate_density(tau, tol=strata.SPLIT_TOL).matrix)
+    return trusted, components
+
+
+def layout(a):
+    return (a.dtype, a.shape, a.strides, a.flags.c_contiguous, a.flags.f_contiguous,
+            a.flags.writeable, a.tobytes())
+
+
+@pytest.mark.parametrize("lam, diagonal, trusted", [
+    ([0.5, 0.3, 0.15, 0.05], False, True),
+    ([1 - 1e-7, 6e-8, 4e-8], False, False),
+    ([0.5, 0.3, 0.2 - 2e-12, 1e-12, 1e-12, -1e-13], False, True),
+    ([0.25, 0.25, 0.25, 0.25], False, True),
+    ([0.4, 0.2, 0.2, 0.2, 0.0], False, True),
+    ([0.5, 0.3, 0.2, 0.0, 0.0], True, True),
+    ([0.2, 0.5, 0.0, 0.3], True, True),
+    ([1 - 1e-7, 1e-7], True, False),
+])
+def test_convex_split_components_equal_separate_buffers(lam, diagonal, trusted):
+    lam = np.array(lam)
+    if diagonal:
+        m = np.diag(lam).astype(complex)
+    else:
+        u = sampling.random_unitary(lam.size, 1801).matrix
+        m = (u * lam) @ u.conj().T
+    rho = core.validate_density(m)
+    was_trusted, refs = separate_components(rho)
+    assert was_trusted == trusted
+    split = strata.convex_split(rho)
+    assert len(split.components) == len(refs)
+    for comp, ref in zip(split.components, refs):
+        assert layout(comp.matrix) == layout(ref)
+        if diagonal:
+            zero = comp.matrix.view(float) == 0.0
+            assert zero.any()
+            assert np.array_equal(np.signbit(comp.matrix.view(float)[zero]),
+                                  np.signbit(ref.view(float)[zero]))
+
+
+def test_convex_split_components_share_one_read_only_block():
+    split = strata.convex_split(sampling.random_density(6, 4, 1802))
+    block = split.components[0].matrix.base
+    assert block.shape == (4, 6, 6) and not block.flags.writeable
+    for k, comp in enumerate(split.components):
+        assert comp.matrix.base is block
+        assert np.shares_memory(comp.matrix, block[k])
+        assert not comp.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            comp.matrix[0, 0] = 1.0
+        # a view of a read-only block cannot be made writable again
+        with pytest.raises(ValueError):
+            comp.matrix.flags.writeable = True
 
 
 def test_convex_split_positivity_checked_on_spectrum():
