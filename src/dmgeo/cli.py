@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from . import documents as docs
@@ -255,6 +256,12 @@ COMMANDS = ("purify", "trace", "connect", "classify", "split", "bloch", "verify-
 class _Parser(argparse.ArgumentParser):
     # -h prints through _stdout, so that a closed stdout fails the same way
     # as for a document; add_subparsers makes its subparsers of this class
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent, so it would read a value
+        # such as "--from 0.1 -2e-05 0.3" as an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def print_help(self, file=None):
         if file is None:
             _stdout(self.format_help())

@@ -5,6 +5,12 @@ as nested ``[re, im]`` pairs; report documents carry per-command results
 plus the tolerances used.  Floats are written in Python's shortest
 round-trip decimal form, so parsing an emitted document reproduces every
 value bit for bit.
+
+A matrix document writes each distinct magnitude once.  When 128 or more
+of them (``_KERNEL_MIN``) lie in [1e-4, 1), one vectorized kernel
+(:func:`_fixed_texts`, Ryu's common case) writes those at once; the rest,
+and the few whose rounding bounds are exact, go to ``float.__repr__`` one
+by one.  The text is the same either way.
 """
 
 from __future__ import annotations
@@ -77,6 +83,111 @@ def _parse_square(data, n: int) -> np.ndarray:
 #: sign bit of an IEEE double
 _SIGN = np.uint64(1 << 63)
 
+# Tables of the shortest-repr kernel, indexed by E - _E_MIN for a double x
+# in [2**-14, 1) with biased exponent E.  With x = 4 * m2 * 2**e2 (m2 the
+# significand, e2 = E - 1077), Ryu works on x * 10**i = 4 * m2 * 5**i / 2**q
+# for q = floor(-e2 log10 5) - 1 and i = -e2 - q.  Here i = 18..22, so 5**i
+# has at most 52 bits: Ryu's 125-bit table entry is 5**i exactly and its
+# shift is 2**q.
+_E_MIN = 1009
+_NEG_E2 = np.arange(1077 - _E_MIN, 1077 - 1023, -1, dtype=np.int64)
+_Q = ((_NEG_E2 * 732923) >> 20) - 1
+_I = _NEG_E2 - _Q
+_POW5 = 5**_I
+# m2 is a multiple of 2**(q - 2) exactly when 4 * m2 * 5**i / 2**q is an
+# integer, Ryu's general case, which the kernel leaves to float.__repr__
+_LOW_BITS = (1 << (_Q - 2)) - 1
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+# _DIGITS[g] holds the four decimal digit values of 0 <= g < 10000 as bytes;
+# _ROWS[w] is the 24-byte row "  ..  0.00..0" with w zero digits, so or-ing
+# digit values into its tail writes "0." and w digits, right-aligned
+_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T)
+_DIGITS = _DIGITS.view(np.uint32).reshape(-1)
+_ROWS = np.frombuffer(b"".join((b" " * 24 + b"0." + b"0" * w)[-24:] for w in range(21)),
+                      dtype=np.uint32).reshape(21, 6)
+#: raw bits of 1e-4 and 1.0; repr writes the doubles below 1e-4 in exponent form
+_FIXED_RANGE = np.array([1e-4, 1.0]).view(np.uint64)
+#: below this many magnitudes in [1e-4, 1), one float.__repr__ each is
+#: faster than the kernel's fixed cost of ~50 numpy calls; the two break even
+#: near 128 (~150 us each with numpy 2.4 on 2 CPUs)
+_KERNEL_MIN = 128
+
+
+def _fixed_texts(bits: np.ndarray) -> tuple:
+    """``repr`` text of each double in [1e-4, 1) whose raw bits are in
+    ``bits``, and a mask of the ones it does not cover, whose text may
+    differ from ``repr``.
+
+    The common case of Ryu (U. Adams, PLDI 2018), vectorized: the shortest
+    digits that round to x, nearest to x, which are the digits that
+    Python's ``repr`` (dtoa mode 0) writes.  The arithmetic is int64 on 1-D
+    arrays: the products of 4 * m2 < 2**55 and 5**i < 2**52 are formed in
+    26- and 28-bit limbs as hi * 2**54 + lo.  The mask marks Ryu's general
+    case, where a bound is exact (0.5 and 0.375, for example).
+    """
+    x = bits.view(np.int64)
+    e = (x >> 52) - _E_MIN
+    m2 = (x & ((1 << 52) - 1)) | (1 << 52)
+    general = (m2 & _LOW_BITS[e]) == 0
+    # outside the general case the mantissa bits are nonzero, so x's lower
+    # bound is half an ulp away: vr, vp, vm are floor(m 5**i / 2**q) for
+    # m = 4 m2, 4 m2 + 2 and 4 m2 - 2
+    m = m2 << 2
+    m_hi, m_lo = m >> 28, m & ((1 << 28) - 1)
+    p = _POW5[e]
+    p_hi, p_lo = p >> 26, p & ((1 << 26) - 1)
+    low = m_lo * p_lo
+    mid = m_lo * p_hi + ((m_hi * p_lo) << 2) + (low >> 26)
+    q = _Q[e]
+    shift = 54 - q
+    hi = (m_hi * p_hi + (mid >> 28)) << shift
+    lo = ((mid & ((1 << 28) - 1)) << 26) | (low & ((1 << 26) - 1))
+    vr = hi + (lo >> q)
+    vp = hi + ((lo + 2 * p) >> q)
+    vm = hi - (1 << shift) + ((lo + (1 << 54) - 2 * p) >> q)
+    # drop digits while the bounds differ above them; vp - vm >= 42, so the
+    # first one always goes
+    removed = np.ones(x.size, np.int64)
+    up, down = vp // 10, vm // 10
+    while True:
+        up, down = up // 10, down // 10
+        more = up > down
+        if not more.any():
+            break
+        removed += more
+    # round half up; vp - vr and vr - vm differ by at most 1, so when vr's
+    # kept digits are vm's the dropped part is at least half, which also
+    # covers Ryu's vr == vm round-up
+    scale = _POW10[removed]
+    digits = vr // scale
+    digits += vr // (scale // 10) - 10 * digits >= 5
+    # i - removed digits after the point: at most 3 zeros and 17 digits
+    rows = np.take(_ROWS, _I[e] - removed, axis=0)
+    for word in (5, 4, 3, 2):
+        top = digits // 10000
+        rows[:, word] |= _DIGITS[digits - 10000 * top]
+        digits = top
+    rows[:, 1] |= _DIGITS[digits]
+    return rows.tobytes().decode("ascii").split(), general
+
+
+def _reprs(magnitudes: np.ndarray) -> list:
+    """``float.__repr__`` of each of the ascending non-negative doubles whose
+    raw bits are ``magnitudes``: through :func:`_fixed_texts` for those in
+    [1e-4, 1) when there are ``_KERNEL_MIN`` or more, one by one otherwise."""
+    values = magnitudes.view(float)
+    # no more than all of them lie in [1e-4, 1), so small tables skip the search
+    start = stop = 0
+    if magnitudes.size >= _KERNEL_MIN:
+        start, stop = np.searchsorted(magnitudes, _FIXED_RANGE).tolist()
+    if stop - start < _KERNEL_MIN:
+        return list(map(float.__repr__, values.tolist()))
+    texts, general = _fixed_texts(magnitudes[start:stop])
+    for k in np.flatnonzero(general).tolist():
+        texts[k] = float.__repr__(values[start + k])
+    return [*map(float.__repr__, values[:start].tolist()), *texts,
+            *map(float.__repr__, values[stop:].tolist())]
+
 
 def _matrix_text(value) -> str:
     """JSON text of the matrix document for a DensityMatrix, PureState, or
@@ -99,8 +210,16 @@ def _matrix_text(value) -> str:
     _require_finite(a)
     # the [re, im] parts in document (row-major) order, as raw bits
     bits = np.ascontiguousarray(a).view(np.uint64).reshape(-1)
-    magnitudes, index = np.unique(bits & ~_SIGN, return_inverse=True)
-    reprs = list(map(float.__repr__, magnitudes.view(float).tolist()))
+    # np.unique(bits & ~_SIGN, return_inverse=True), without its set-up cost
+    ordered = bits & ~_SIGN
+    order = np.argsort(ordered)
+    ordered = ordered[order]
+    first = np.empty(ordered.size, bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    index = np.empty(ordered.size, np.int64)
+    index[order] = np.cumsum(first) - 1
+    reprs = _reprs(ordered[first])
     table = reprs + ["-" + s for s in reprs]
     index += (bits >> 63).view(np.int64) * len(reprs)
     n = value.n

@@ -146,19 +146,11 @@ def _small_n_cache(build):
 
 @_small_n_cache
 def _triangle(n: int) -> tuple:
-    """Read-only layout tables of the size-n Hermitian basis, built once per n.
-
-    The strict upper triangle's indices ``(i, j)``, i < j in row-major
-    order, and the ``(n - 1, n)`` diagonal block whose row k - 1 is
-    diag(1, .., 1, -k, 0, ..).  An entry holds O(n^2) numbers; the n^4
-    basis itself is built per ``traceless_hermitian_basis`` call.
-    """
+    """Read-only indices ``(i, j)`` of the strict upper triangle of an
+    n x n matrix, i < j in row-major order, built once per n."""
     i, j = np.triu_indices(n, k=1)
-    diag = np.tri(n - 1, n)
-    diag[np.arange(n - 1), np.arange(1, n)] = -np.arange(1, n)
-    for table in (i, j, diag):
-        table.flags.writeable = False
-    return i, j, diag
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 @_small_n_cache
@@ -169,14 +161,19 @@ def _tangent_table(n: int) -> tuple:
     stack holds ``c * (alpha * x[p] - beta * x[q])`` at flat index
     ``dest``, where x is rho's real view ``[Re rho_00, Im rho_00, Re
     rho_01, ..., 0.0]``.  Over all entries that is flatten(i[H_k, rho])
-    for every basis matrix H_k, rounded as the matrix products round it:
-    the entry D_ab = (H rho)_ab - (rho H)_ab, whose terms are exact but
-    for one rounding of a diagonal weight times rho_ab, then the factor i
-    (Re C = -Im D, Im C = Re D), then the sqrt(2) of the flatten.  Entries
-    that are zero for every rho are left out, so the table holds O(n^3)
-    entries.
+    for the traceless Hermitian basis H_k (for each pair i < j in row-major
+    order the symmetric and then the antisymmetric off-diagonal matrix,
+    then diag(1, .., 1, -k, 0, ..) for k = 1 .. n - 1), rounded as the
+    matrix products round it: the entry D_ab = (H rho)_ab - (rho H)_ab,
+    whose terms are exact but for one rounding of a diagonal weight times
+    rho_ab, then the factor i (Re C = -Im D, Im C = Re D), then the
+    sqrt(2) of the flatten.  Entries that are zero for every rho are left
+    out, so the table holds O(n^3) entries.
     """
-    i, j, diag = _triangle(n)
+    i, j = _triangle(n)
+    # row k - 1 holds the diagonal of the k-th diagonal basis matrix
+    diag = np.tri(n - 1, n)
+    diag[np.arange(n - 1), np.arange(1, n)] = -np.arange(1, n)
     nn, pairs, zero = n * n, i.size, 2 * n * n
     # pair t = (i, j) makes rows i, j and columns i, j of its commutators
     # nonzero: the upper positions (i, k >= i), (j, k >= j), (k < j, j)
@@ -228,23 +225,6 @@ def _tangent_table(n: int) -> tuple:
     return table
 
 
-def traceless_hermitian_basis(n: int) -> np.ndarray:
-    """The n^2 - 1 standard traceless Hermitian basis matrices, stacked.
-
-    For each pair i < j in row-major order the symmetric and then the
-    antisymmetric off-diagonal matrix, followed by diag(1, .., 1, -k, 0, ..)
-    for k = 1 .. n - 1.
-    """
-    i, j, diag = _triangle(n)
-    sym = 2 * np.arange(i.size)
-    basis = np.zeros((n * n - 1, n, n), dtype=complex)
-    basis[sym, i, j] = basis[sym, j, i] = 1.0
-    basis[sym + 1, i, j] = -1.0j
-    basis[sym + 1, j, i] = 1.0j
-    basis[n * n - n :, np.arange(n), np.arange(n)] = diag
-    return basis
-
-
 def flatten_hermitian(h: np.ndarray) -> np.ndarray:
     """Independent real parameters of a Hermitian matrix as a length-n^2 vector.
 
@@ -252,7 +232,7 @@ def flatten_hermitian(h: np.ndarray) -> np.ndarray:
     of the upper triangle, making the Euclidean inner product match the
     Hilbert-Schmidt one.  A ``(..., n, n)`` stack flattens matrix by matrix.
     """
-    i, j, _ = _triangle(h.shape[-1])
+    i, j = _triangle(h.shape[-1])
     upper = h[..., i, j]
     off = np.sqrt(2.0) * np.concatenate([upper.real, upper.imag], axis=-1)
     return np.concatenate([h.diagonal(axis1=-2, axis2=-1).real, off], axis=-1)

@@ -213,6 +213,22 @@ def test_exit_code_bloch_outside_ball(run_cli):
         assert "OutsideBall" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, plain", [("-2e-05", "-0.00002"), ("-1E+00", "-1"),
+                                         ("-.5e-3", "-0.0005")])
+def test_bloch_from_reads_negative_exponent_forms(text, plain):
+    # argparse's own negative-number pattern has no exponent, so these were
+    # read as options and --from came up short
+    for place in range(3):
+        coords = ["0", "0", "0"]
+        rc, out = call_main(["bloch", "--from", *coords[:place], text, *coords[place + 1:]])
+        coords[place] = plain
+        assert (rc, out) == call_main(["bloch", "--from", *coords])
+        assert rc == 0 and '"status": "ok"' in out
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+        call_main(["bloch", "--from", "0.1", "0.2"])
+    assert exc.value.code == 2
+
+
 def test_exit_code_sample_rank_range(run_cli):
     for argv in (
         ["--kind", "density", "--n", "2", "--mu", "3", "--seed", "1"],

