@@ -6,11 +6,9 @@ plus the tolerances used.  Floats are written in Python's shortest
 round-trip decimal form, so parsing an emitted document reproduces every
 value bit for bit.
 
-A matrix document writes each distinct magnitude once.  When 128 or more
-of them (``_KERNEL_MIN``) lie in [1e-4, 1), one vectorized kernel
-(:func:`_fixed_texts`, Ryu's common case) writes those at once; the rest,
-and the few whose rounding bounds are exact, go to ``float.__repr__`` one
-by one.  The text is the same either way.
+A matrix document is one join of separators, which carry the signs, and
+the texts of its distinct magnitudes: :func:`_fixed_texts` writes those in
+[1e-4, 1) when there are ``_KERNEL_MIN`` or more, ``float.__repr__`` the rest.
 """
 
 from __future__ import annotations
@@ -82,6 +80,9 @@ def _parse_square(data, n: int) -> np.ndarray:
 
 #: sign bit of an IEEE double
 _SIGN = np.uint64(1 << 63)
+#: the text before a float, by code: 0 and 1 open a square document's and a pure
+#: state's data, 2 a later row, 3 a real part, 4 an imaginary part; + 5 adds "-"
+_SEPARATORS = ("[[[", "[[", "]], [[", "], [", ", ", "[[[-", "[[-", "]], [[-", "], [-", ", -")
 
 # Tables of the shortest-repr kernel, indexed by E - _E_MIN for a double x
 # in [2**-14, 1) with biased exponent E.  With x = 4 * m2 * 2**e2 (m2 the
@@ -194,9 +195,9 @@ def _matrix_text(value) -> str:
     Unitary.
 
     Each entry is written as ``json.dumps`` writes a float, ``repr``, but
-    ``repr`` runs once per distinct magnitude: ``repr(-x) == "-" + repr(x)``
-    for every finite x, ``-0.0`` included.  Emitted densities are Hermitian,
-    so about half of their magnitudes repeat.
+    ``repr`` runs once per distinct magnitude and the sign goes on the
+    separator before it: ``repr(-x) == "-" + repr(x)`` for every finite x,
+    ``-0.0`` included.  About half of a Hermitian density's magnitudes repeat.
     """
     if isinstance(value, DensityMatrix):
         kind, a = "density", value.matrix
@@ -217,19 +218,23 @@ def _matrix_text(value) -> str:
     first = np.empty(ordered.size, bool)
     first[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    index = np.empty(ordered.size, np.int64)
-    index[order] = np.cumsum(first) - 1
-    reprs = _reprs(ordered[first])
-    table = reprs + ["-" + s for s in reprs]
-    index += (bits >> 63).view(np.int64) * len(reprs)
-    n = value.n
+    # each part's separator and magnitude text, as positions in the table
+    slots = np.empty((bits.size, 2), np.int64)
+    slots[order, 1] = np.cumsum(first) + (len(_SEPARATORS) - 1)
+    slots[:, 0] = 4
+    slots[::2, 0] = 3
     if kind == "pure_state":
-        data = "[" + ", ".join(["[%s, %s]"] * (n * n)) + "]"
+        slots[0, 0], close = 1, "]]}"
     else:
-        row = "[" + ", ".join(["[%s, %s]"] * n) + "]"
-        data = "[" + ", ".join([row] * n) + "]"
-    template = '{"kind": "%s", "n": %d, "data": %s}' % (kind, n, data)
-    return template % tuple(map(table.__getitem__, index.tolist()))
+        slots[::2 * value.n, 0] = 2
+        slots[0, 0], close = 0, "]]]}"
+    slots[:, 0] += (bits >> 63).view(np.int64) * 5
+    table = np.array([*_SEPARATORS, *_reprs(ordered[first])], dtype=object)
+    parts = table[slots.reshape(-1)].tolist()
+    # freed before the join allocates the text: with them alive, a process
+    # dumping n=64 documents faulted ~90 fresh pages in per document
+    del table, slots
+    return '{"kind": "%s", "n": %d, "data": ' % (kind, value.n) + "".join(parts) + close
 
 
 def matrix_document(value) -> dict:

@@ -396,3 +396,65 @@ def test_kernel_writes_only_large_documents(monkeypatch):
     assert calls == []
     docs.dumps(sampling.random_density(32, 32, 1))
     assert len(calls) == 1 and calls[0] >= docs._KERNEL_MIN
+
+
+# --- the separators that carry the signs ---
+
+
+def _negated(a):
+    # every real and imaginary part negative, zeros as -0.0
+    parts = np.array(a).view(float)
+    return np.negative(np.abs(parts), out=parts).view(complex)
+
+
+def test_all_negative_large_documents_match_reference_bytes():
+    for value in (core.DensityMatrix(_negated(sampling.random_density(64, 64, 5).matrix)),
+                  core.Unitary(_negated(sampling.random_unitary(64, 5).matrix))):
+        text = docs.dumps(value)
+        assert text == reference_dumps(value)
+        assert text.count("-") == 2 * 64 * 64 + text.count("e-")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 24])
+def test_negative_zero_on_each_separator_matches_reference_bytes(n):
+    rng = np.random.default_rng(n)
+    a = rng.uniform(0.1, 0.9, (n, n)) + 1j * rng.uniform(0.1, 0.9, (n, n))
+    cases = {
+        "data start": [(0, 0, "re")],
+        "row starts": [(r, 0, "re") for r in range(n)],
+        "inner reals": [(r, c, "re") for r in range(n) for c in range(1, n)],
+        "imaginary parts": [(r, c, "im") for r in range(n) for c in range(n)],
+    }
+    for name, where in cases.items():
+        m = a.copy()
+        for r, c, part in where:
+            if part == "re":
+                m[r, c] = complex(-0.0, m[r, c].imag)
+            else:
+                m[r, c] = complex(m[r, c].real, -0.0)
+        for value in (core.DensityMatrix(m), core.Unitary(m), core.PureState(m.reshape(-1))):
+            assert docs.dumps(value) == reference_dumps(value), (name, type(value).__name__)
+
+
+def test_one_amplitude_pure_state_with_negative_parts():
+    psi = core.PureState(np.array([complex(-0.0, -1.0)]))
+    expected = '{"kind": "pure_state", "n": 1, "data": [[-0.0, -1.0]]}\n'
+    assert docs.dumps(psi) == reference_dumps(psi) == expected
+    u = core.Unitary(np.array([[complex(-0.0, -1.0)]]))
+    assert docs.dumps(u) == '{"kind": "unitary", "n": 1, "data": [[[-0.0, -1.0]]]}\n'
+
+
+def test_fortran_ordered_unitary_matches_reference_bytes():
+    a = np.asfortranarray(sampling.random_unitary(64, 9).matrix.T)
+    u = core.Unitary(a)
+    assert u.matrix.flags.f_contiguous and not u.matrix.flags.c_contiguous
+    assert docs.dumps(u) == reference_dumps(u)
+
+
+def test_split_report_of_eight_large_components_matches_reference_bytes():
+    split = strata.convex_split(sampling.random_density(64, 8, 3))
+    report = docs.report_document("split", {"density": docs.digest("x")},
+                                  {"weights": split.weights.tolist(),
+                                   "components": split.components}, {"tol": 1e-9})
+    assert len(split.components) == 8
+    assert docs.dumps(report) == reference_dumps(report)
