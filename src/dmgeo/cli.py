@@ -4,11 +4,15 @@ One subcommand per analysis; matrix documents in, matrix documents or
 report documents out.  Exit codes: 0 ok, 1 verification mismatch,
 2 parse/usage error, 3 validation error, 4 precondition error or
 input too large to allocate, 5 numerical failure.
+
+``main`` may be called many times in one process; the argparse parser is
+built once per process and reused, since parsing never changes it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -248,11 +252,6 @@ def _add_io(sub, infile=True):
                      help="output file (default: stdout)")
 
 
-#: the subcommand names, in help order
-COMMANDS = ("purify", "trace", "connect", "classify", "split", "bloch", "verify-dimension",
-            "sample")
-
-
 class _Parser(argparse.ArgumentParser):
     # -h prints through _stdout, so that a closed stdout fails the same way
     # as for a document; add_subparsers makes its subparsers of this class
@@ -269,80 +268,78 @@ class _Parser(argparse.ArgumentParser):
             super().print_help(file)
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The ``dmgeo`` parser with every subcommand, or only ``command``.
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The ``dmgeo`` parser with every subcommand, built once per process.
 
-    A name from ``COMMANDS`` declares that subcommand alone, which parses
-    an argv that starts with it to the same namespace, help and errors as
-    the full parser.  The top-level help and the errors for a missing or
-    unknown command need the full parser (``command=None``).
+    Every ``main`` call reuses it, which is safe because nothing mutates
+    the parser after this build: ``parse_args`` makes a fresh namespace per
+    call, ``prog`` is fixed, and the terminal width, ``sys.stdout`` and
+    ``sys.stderr`` are read when help or an error is formatted and written,
+    not here.  The subcommand handlers are bound at this build, so code
+    that rebinds one afterwards calls ``build_parser.cache_clear()``;
+    ``build_parser.__wrapped__()`` makes a fresh parser.
     """
     parser = _Parser(prog="dmgeo", description="density-matrix geometry toolkit")
-    # only a partial build spells out the names, so that its usage line reads
-    # as the full one; the full build's errors call the argument "command"
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    subs = parser.add_subparsers(dest="command", required=True)
 
-    def declare(name, text):
-        return subs.add_parser(name, help=text) if command in (None, name) else None
+    p = subs.add_parser("purify", help="density document -> canonical purification")
+    _add_io(p)
+    p.set_defaults(func=_cmd_document, kind="density", op=lambda rho, args: purify(rho))
 
-    if p := declare("purify", "density document -> canonical purification"):
-        _add_io(p)
-        p.set_defaults(func=_cmd_document, kind="density", op=lambda rho, args: purify(rho))
+    p = subs.add_parser("trace", help="pure-state document -> partial trace over B")
+    _add_io(p)
+    p.set_defaults(func=_cmd_document, kind="pure_state",
+                   op=lambda psi, args: partial_trace_b(psi))
 
-    if p := declare("trace", "pure-state document -> partial trace over B"):
-        _add_io(p)
-        p.set_defaults(func=_cmd_document, kind="pure_state",
-                       op=lambda psi, args: partial_trace_b(psi))
+    p = subs.add_parser("connect", help="unitary linking two purifications")
+    p.add_argument("--psi", required=True, metavar="FILE", help="first state ('-' for stdin)")
+    p.add_argument("--phi", required=True, metavar="FILE", help="second state ('-' for stdin)")
+    p.add_argument("--tol", type=_tol, default=CONNECT_TOL,
+                   help="entrywise bound on the partial-trace mismatch")
+    _add_io(p, infile=False)
+    p.set_defaults(func=_cmd_connect)
 
-    if p := declare("connect", "unitary linking two purifications"):
-        p.add_argument("--psi", required=True, metavar="FILE", help="first state ('-' for stdin)")
-        p.add_argument("--phi", required=True, metavar="FILE", help="second state ('-' for stdin)")
-        p.add_argument("--tol", type=_tol, default=CONNECT_TOL,
-                       help="entrywise bound on the partial-trace mismatch")
-        _add_io(p, infile=False)
-        p.set_defaults(func=_cmd_connect)
+    p = subs.add_parser("classify", help="rank and stratum data of a density matrix")
+    _add_io(p)
+    p.add_argument("--tol", type=_tol, default=RANK_TOL)
+    p.set_defaults(func=_cmd_document, kind="density", op=_classify)
 
-    if p := declare("classify", "rank and stratum data of a density matrix"):
-        _add_io(p)
-        p.add_argument("--tol", type=_tol, default=RANK_TOL)
-        p.set_defaults(func=_cmd_document, kind="density", op=_classify)
+    p = subs.add_parser("split", help="convex split into rank mu-1 components")
+    _add_io(p)
+    p.add_argument("--tol", type=_tol, default=RANK_TOL)
+    p.set_defaults(func=_cmd_document, kind="density", op=_split)
 
-    if p := declare("split", "convex split into rank mu-1 components"):
-        _add_io(p)
-        p.add_argument("--tol", type=_tol, default=RANK_TOL)
-        p.set_defaults(func=_cmd_document, kind="density", op=_split)
+    p = subs.add_parser("bloch", help="Bloch vector of a qubit state, or the inverse")
+    _add_io(p)
+    p.add_argument("--from", dest="coords", nargs=3, type=float, default=None,
+                   metavar=("X", "Y", "Z"), help="build the density matrix instead")
+    p.set_defaults(func=_cmd_bloch, kind="density", op=_bloch)
 
-    if p := declare("bloch", "Bloch vector of a qubit state, or the inverse"):
-        _add_io(p)
-        p.add_argument("--from", dest="coords", nargs=3, type=float, default=None,
-                       metavar=("X", "Y", "Z"), help="build the density matrix instead")
-        p.set_defaults(func=_cmd_bloch, kind="density", op=_bloch)
+    p = subs.add_parser("verify-dimension",
+                        help="check the stratum dimension formula on random samples")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--mu", type=int, required=True)
+    p.add_argument("--samples", type=_count, default=20)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--tol", type=_tol, default=RANK_TOL)
+    _add_io(p, infile=False)
+    p.set_defaults(func=_cmd_verify_dimension)
 
-    if p := declare("verify-dimension", "check the stratum dimension formula on random samples"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--mu", type=int, required=True)
-        p.add_argument("--samples", type=_count, default=20)
-        p.add_argument("--seed", type=_seed, default=0)
-        p.add_argument("--tol", type=_tol, default=RANK_TOL)
-        _add_io(p, infile=False)
-        p.set_defaults(func=_cmd_verify_dimension)
-
-    if p := declare("sample", "seeded random state, unitary, or density matrix"):
-        p.add_argument("--kind", choices=("pure", "unitary", "density"), required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--mu", type=int, default=None)
-        p.add_argument("--seed", type=_seed, default=0)
-        _add_io(p, infile=False)
-        p.set_defaults(func=_cmd_sample)
+    p = subs.add_parser("sample", help="seeded random state, unitary, or density matrix")
+    p.add_argument("--kind", choices=("pure", "unitary", "density"), required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--mu", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=0)
+    _add_io(p, infile=False)
+    p.set_defaults(func=_cmd_sample)
 
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (DmgeoError, MemoryError) as exc:
         text = str(exc)

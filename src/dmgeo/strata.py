@@ -248,12 +248,14 @@ def tangent_space_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
 
     The input must have distinct nonzero eigenvalues; at non-generic
     points the direction count is ill-posed and the call is rejected.
-    Below full rank the eigenvalues must also keep clear of the rank cut
-    by the factor k = sqrt(n (n - 1) / 2): the smallest kept one at least
-    ``k * tol * max(lam_1, 1)``, and the dropped ones spread by at most
-    ``tol * (lam_1 - lam_n) / k``.  Closer to the cut the singular-value
-    cut can disagree with the eigenvalue cut, and the count would match
-    no stratum.
+    With k = sqrt(n (n - 1) / 2), consecutive kept eigenvalues must differ
+    by at least ``max(GENERIC_EPS, k * tol * max(lam_1, 1))``: a closer pair
+    gives motions near the singular-value cut.  Below full rank the
+    eigenvalues must also keep clear of the rank cut by the factor k: the
+    smallest kept one at least ``k * tol * max(lam_1, 1)``, and the
+    dropped ones spread by at most ``tol * (lam_1 - lam_n) / k``.  Closer
+    to either cut the singular-value cut can disagree with the eigenvalue
+    cut, and the count would match no stratum.
     A singular-value spectrum without a clear cut (ratio below
     ``GAP_RATIO`` at the threshold) raises rather than guessing.
 
@@ -265,16 +267,15 @@ def tangent_space_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
     dec = spectral_decompose(rho)
     mu = numerical_rank(dec.eigenvalues, RANK_TOL)
     lam = dec.eigenvalues[:mu]
-    gaps = lam[:-1] - lam[1:]
-    if mu > 1 and float(gaps.min()) < GENERIC_EPS:
-        raise NonGenericSpectrumError(
-            f"nonzero eigenvalues closer than {GENERIC_EPS:g}"
-        )
     # the basis norms run from sqrt(2) to sqrt(n (n - 1)), so an eigenvalue
     # difference g gives singular values between sqrt(2) g and sqrt(n (n - 1)) g
     n = rho.n
-    dropped = dec.eigenvalues[mu:]
     k = math.sqrt(n * (n - 1) / 2)
+    if mu > 1:
+        floor = max(GENERIC_EPS, k * tol * max(lam[0], 1.0))
+        if float((lam[:-1] - lam[1:]).min()) < floor:
+            raise NonGenericSpectrumError(f"nonzero eigenvalues closer than {floor:g}")
+    dropped = dec.eigenvalues[mu:]
     if 0 < mu < n and (
         lam[-1] < k * tol * max(lam[0], 1.0)
         or k * (dropped[0] - dropped[-1]) > tol * (lam[0] - dropped[-1])

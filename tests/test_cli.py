@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -388,7 +389,7 @@ def test_exit_code_closed_stdout(unbuffered):
         assert proc.stderr.count("\n") == 1, argv
 
 
-# --- the partial parser: the invoked subcommand alone, with the same text ---
+# --- the parser: built once per process, the same text as a fresh build ---
 
 def _parse_outcome(parse, argv):
     # (exit code, stdout, stderr, namespace) of one parse; help and usage
@@ -402,17 +403,37 @@ def _parse_outcome(parse, argv):
     return code, out.getvalue(), err.getvalue(), namespace
 
 
-@pytest.mark.parametrize("argv", [
-    *([name, "-h"] for name in cli.COMMANDS),
+def _fresh_parse(argv):
+    return cli.build_parser.__wrapped__().parse_args(argv)
+
+
+# the subcommand names, in help order
+_COMMANDS = tuple(next(action.choices for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)))
+
+# help and usage errors, each run through main right after the one before it
+_TEXT_ARGV = [
+    *([name, "-h"] for name in _COMMANDS),
     ["purify", "--bogus"],
     ["sample", "--n", "2"],
     ["classify", "--tol", "2"],
     ["bloch", "--from", "1", "2"],
-], ids="_".join)
-def test_partial_parser_text_matches_full(argv):
-    partial = _parse_outcome(cli.build_parser(argv[0]).parse_args, argv)
-    full = _parse_outcome(cli.build_parser().parse_args, argv)
-    assert partial[0] is not None and partial[:3] == full[:3]
+]
+
+
+@pytest.mark.parametrize("argv", _TEXT_ARGV, ids="_".join)
+def test_cached_parser_text_matches_fresh(argv, monkeypatch):
+    before = _TEXT_ARGV[_TEXT_ARGV.index(argv) - 1]
+    outcomes = []
+    # the width is read when the text is formatted, not when the parser is built
+    for columns in ("40", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        _parse_outcome(cli_main, before)
+        cached = _parse_outcome(cli_main, argv)
+        assert cached[0] is not None and cached == _parse_outcome(_fresh_parse, argv)
+        outcomes.append(cached)
+    if argv[-1] == "-h":
+        assert outcomes[0][1] != outcomes[1][1]
 
 
 # one argv that parses, for each subcommand
@@ -436,30 +457,34 @@ def _comparable(namespace):
     return values
 
 
-def test_partial_parser_parses_same_namespace():
-    assert tuple(_VALID_ARGV) == cli.COMMANDS
+def test_cached_parser_parses_same_namespace():
+    assert tuple(_VALID_ARGV) == _COMMANDS
     for argv in _VALID_ARGV.values():
-        partial = cli.build_parser(argv[0]).parse_args(argv)
-        full = cli.build_parser().parse_args(argv)
-        assert _comparable(partial) == _comparable(full), argv
+        assert _parse_outcome(cli.build_parser().parse_args, [argv[0], "--bogus"])[0] == 2
+        cached = cli.build_parser().parse_args(argv)
+        assert _comparable(cached) == _comparable(_fresh_parse(argv)), argv
 
 
-@pytest.fixture
-def build_calls(monkeypatch):
-    # the command of each build_parser call that main makes
-    calls, original = [], cli.build_parser
+def test_main_builds_the_parser_once(monkeypatch):
+    built = []
 
-    def recording(command=None):
-        calls.append(command)
-        return original(command)
+    class Recording(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
 
-    monkeypatch.setattr(cli, "build_parser", recording)
-    return calls
-
-
-def test_main_declares_only_the_invoked_subcommand(build_calls):
-    rc, out = call_main(["purify"], HALF_MIX)
-    assert (rc, build_calls) == (0, ["purify"])
+    monkeypatch.setattr(cli, "_Parser", Recording)
+    cli.build_parser.cache_clear()
+    try:
+        for argv, stdin in ((["purify"], HALF_MIX), (["trace"], BELL),
+                            (["sample", "--kind", "pure", "--n", "2"], "")):
+            assert call_main(argv, stdin)[0] == 0, argv
+        for argv, code in ((["nope"], 2), (["classify", "-h"], 0)):
+            assert _parse_outcome(cli_main, argv)[0] == code, argv
+    finally:
+        # leave no parser of the recording class cached for later tests
+        cli.build_parser.cache_clear()
+    assert built == ["dmgeo", *(f"dmgeo {name}" for name in _COMMANDS)]
 
 
 @pytest.mark.parametrize("argv, stderr_part", [
@@ -467,11 +492,10 @@ def test_main_declares_only_the_invoked_subcommand(build_calls):
     (["nope"], "error: argument command: invalid choice: 'nope'"),
     (["-h"], ""),
 ], ids=["empty", "unknown", "help"])
-def test_main_full_parser_without_a_command(build_calls, argv, stderr_part):
+def test_main_full_parser_without_a_command(argv, stderr_part):
     outcome = _parse_outcome(cli_main, argv)
-    assert build_calls == [None]
-    assert outcome == _parse_outcome(cli.build_parser().parse_args, argv)
-    # the full build names the argument "command", not its list of choices
+    assert outcome == _parse_outcome(_fresh_parse, argv)
+    # the parser names the argument "command", not its list of choices
     assert stderr_part in outcome[2]
 
 

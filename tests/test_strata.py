@@ -223,6 +223,27 @@ def test_tangent_rank_near_cut_returns_own_stratum_or_raises(n):
         assert rank == strata.stratum_dimension(n, mu)
 
 
+@pytest.mark.parametrize("tol, raises", [
+    (1e-9, False), (1e-8, False), (3e-8, True), (1e-7, True), (1e-5, True), (1e-3, True),
+])
+def test_tangent_rank_close_kept_pair_scales_with_tol(tol, raises):
+    # a 3e-8 gap passes the fixed GENERIC_EPS floor; at a tol above it the
+    # pair's two motions fell under the cut with no ambiguous ratio, and
+    # the count read 6, which matches no stratum of n = 3
+    u = sampling.random_unitary(3, 0).matrix
+    lam = np.linspace(1, 0.5, 3)
+    lam /= lam.sum()
+    lam[1] = lam[0] - 3e-8
+    lam[-1] += 1 - lam.sum()
+    rho = core.validate_density((u * lam) @ u.conj().T)
+    assert strata.classify(rho).mu == 3
+    if raises:
+        with pytest.raises(NonGenericSpectrumError):
+            strata.tangent_space_rank(rho, tol=tol)
+    else:
+        assert strata.tangent_space_rank(rho, tol=tol) == strata.stratum_dimension(3, 3) == 8
+
+
 def test_tangent_rank_refuses_both_sides_of_the_cut():
     n = 4
     u = sampling.random_unitary(n, 7).matrix
