@@ -390,6 +390,9 @@ def test_exit_code_closed_stdout(unbuffered):
 
 
 # --- the parser: built once per process, the same text as a fresh build ---
+# The two "partial_parser" tests keep the names they had when main built a
+# parser with the invoked subcommand alone; main now parses with the one
+# cached full parser, and they check it against a fresh full build.
 
 def _parse_outcome(parse, argv):
     # (exit code, stdout, stderr, namespace) of one parse; help and usage
@@ -422,7 +425,7 @@ _TEXT_ARGV = [
 
 
 @pytest.mark.parametrize("argv", _TEXT_ARGV, ids="_".join)
-def test_cached_parser_text_matches_fresh(argv, monkeypatch):
+def test_partial_parser_text_matches_full(argv, monkeypatch):
     before = _TEXT_ARGV[_TEXT_ARGV.index(argv) - 1]
     outcomes = []
     # the width is read when the text is formatted, not when the parser is built
@@ -457,7 +460,7 @@ def _comparable(namespace):
     return values
 
 
-def test_cached_parser_parses_same_namespace():
+def test_partial_parser_parses_same_namespace():
     assert tuple(_VALID_ARGV) == _COMMANDS
     for argv in _VALID_ARGV.values():
         assert _parse_outcome(cli.build_parser().parse_args, [argv[0], "--bogus"])[0] == 2
