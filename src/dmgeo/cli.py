@@ -5,6 +5,14 @@ report documents out.  Exit codes: 0 ok, 1 verification mismatch,
 2 parse/usage error, 3 validation error, 4 precondition error or
 input too large to allocate, 5 numerical failure.
 
+One driver, ``_run``, runs every subcommand from the row in its
+``set_defaults``.  It reads the ``inputs``, (report key, option dest,
+kind) triples of which at most one may read stdin, and calls
+``op(args, *documents)``.  The op returns a typed value, written as its
+matrix document, or ``(results, status)``, written as a report with the
+inputs' digests, ``--tol`` and the row's fixed ``bounds``; the status
+sets the exit code.
+
 ``main`` may be called many times in one process; the argparse parser is
 built once per process and reused, since parsing never changes it.
 """
@@ -53,6 +61,9 @@ _EXIT_CODES = (
     (NumericalError, EXIT_NUMERICAL),
     (MemoryError, EXIT_PRECONDITION),
 )
+
+#: exit code of each report status
+_STATUS_CODES = {"ok": EXIT_OK, "RankMismatch": EXIT_FAIL, "ResidualTooLarge": EXIT_NUMERICAL}
 
 #: residual bound for the connect subcommand
 RESIDUAL_BOUND = 1e-9
@@ -127,44 +138,39 @@ def _write(args, doc):
         raise DocumentError(f"cannot write {args.out}: {exc}") from exc
 
 
-def _cmd_document(args) -> int:
-    # read one document of args.kind; args.op returns a typed value, written
-    # as a matrix document, or a results dict, written as a report
-    text = _read(args.infile)
-    out = args.op(docs.parse_matrix_document(text, args.kind), args)
-    if isinstance(out, dict):
+def _run(args) -> int:
+    # the one driver behind every subcommand (contract in the module docstring)
+    dests = [dest for _, dest, _ in args.inputs]
+    if sum(getattr(args, dest) in (None, "-") for dest in dests) > 1:
+        # refused before any read; connect's two options are named after their dests
+        raise DocumentError(f"only one of {'/'.join('--' + d for d in dests)} may read stdin")
+    texts = [_read(getattr(args, dest)) for dest in dests]
+    documents = [docs.parse_matrix_document(text, kind)
+                 for text, (_, _, kind) in zip(texts, args.inputs)]
+    out, status = args.op(args, *documents), "ok"
+    if isinstance(out, tuple):
+        results, status = out
+        tolerances = {"tol": args.tol} if "tol" in args else {}
+        tolerances.update(args.bounds)
         out = docs.report_document(
             command=args.command,
-            inputs={args.kind: docs.digest(text)},
-            results=out,
-            tolerances={"tol": args.tol} if "tol" in args else {},
+            inputs={key: docs.digest(text) for (key, _, _), text in zip(args.inputs, texts)},
+            results=results,
+            tolerances=tolerances,
+            status=status,
         )
     _write(args, out)
-    return EXIT_OK
+    return _STATUS_CODES[status]
 
 
-def _cmd_connect(args) -> int:
-    if args.psi in (None, "-") and args.phi in (None, "-"):
-        raise DocumentError("only one of --psi/--phi may read stdin")
-    psi_text = _read(args.psi)
-    phi_text = _read(args.phi)
-    psi = docs.parse_matrix_document(psi_text, "pure_state")
-    phi = docs.parse_matrix_document(phi_text, "pure_state")
+def _connect(args, psi, phi):
     v = connecting_unitary(psi, phi, tol=args.tol)
     residual = ray_distance(apply_local_b(psi, v), phi)
-    ok = residual <= RESIDUAL_BOUND
-    report = docs.report_document(
-        command="connect",
-        inputs={"psi": docs.digest(psi_text), "phi": docs.digest(phi_text)},
-        results={"unitary": v, "residual": residual},
-        tolerances={"tol": args.tol, "residual_bound": RESIDUAL_BOUND},
-        status="ok" if ok else "ResidualTooLarge",
-    )
-    _write(args, report)
-    return EXIT_OK if ok else EXIT_NUMERICAL
+    return ({"unitary": v, "residual": residual},
+            "ok" if residual <= RESIDUAL_BOUND else "ResidualTooLarge")
 
 
-def _classify(rho, args) -> dict:
+def _classify(args, rho):
     info = classify(rho, tol=args.tol)
     return {
         "n": info.n,
@@ -175,79 +181,66 @@ def _classify(rho, args) -> dict:
         "is_full_rank": info.is_full_rank,
         "purity": float((rho.matrix @ rho.matrix).trace().real),
         "eigenvalues": list(info.eigenvalues),
-    }
+    }, "ok"
 
 
-def _split(rho, args) -> dict:
+def _split(args, rho):
     split = convex_split(rho, tol=args.tol)
     return {
         "weights": [float(w) for w in split.weights],
         "components": split.components,
-    }
+    }, "ok"
 
 
-def _bloch(rho, args) -> dict:
+def _bloch(args, rho):
     r = bloch_vector(rho)
-    return {"vector": {"x": r.x, "y": r.y, "z": r.z}}
+    return {"vector": {"x": r.x, "y": r.y, "z": r.z}}, "ok"
 
 
-def _cmd_bloch(args) -> int:
-    if args.coords is None:
-        return _cmd_document(args)
+def _density_from_bloch(args):
     if args.infile is not None:
         raise DocumentError("--from builds the density, so it takes no --in")
-    rho = density_from_bloch(BlochVector(*args.coords))
-    report = docs.report_document(
-        command="bloch",
-        inputs={},
-        results={"density": rho},
-        tolerances={},
-    )
-    _write(args, report)
-    return EXIT_OK
+    return {"density": density_from_bloch(BlochVector(*args.coords))}, "ok"
 
 
-def _cmd_verify_dimension(args) -> int:
+class _FromCoords(argparse.Action):
+    # bloch --from builds its density instead of reading one, so it
+    # declares no input and its own op
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.coords, namespace.inputs, namespace.op = values, (), _density_from_bloch
+
+
+def _verify_dimension(args):
     formula = stratum_dimension(args.n, args.mu)
-    ranks = []
-    for index in range(args.samples):
-        rho = random_generic_density(args.n, args.mu, args.seed + index, gap=VERIFY_GAP)
-        ranks.append(tangent_space_rank(rho, tol=args.tol))
+    rhos = (random_generic_density(args.n, args.mu, args.seed + index, gap=VERIFY_GAP)
+            for index in range(args.samples))
+    ranks = [tangent_space_rank(rho, tol=args.tol) for rho in rhos]
     all_match = all(r == formula for r in ranks)
-    report = docs.report_document(
-        command="verify-dimension",
-        inputs={},
-        results={
-            "n": args.n,
-            "mu": args.mu,
-            "formula": formula,
-            "ranks": ranks,
-            "all_match": all_match,
-        },
-        tolerances={"tol": args.tol, "spectral_gap": VERIFY_GAP},
-        status="ok" if all_match else "RankMismatch",
-    )
-    _write(args, report)
-    return EXIT_OK if all_match else EXIT_FAIL
+    return {
+        "n": args.n,
+        "mu": args.mu,
+        "formula": formula,
+        "ranks": ranks,
+        "all_match": all_match,
+    }, "ok" if all_match else "RankMismatch"
 
 
-def _cmd_sample(args) -> int:
+def _sample(args):
     mu = args.n if args.mu is None else args.mu
     check_rank_range(args.n, mu)
     if args.kind == "pure":
-        value = random_pure(args.n * args.n, args.seed)
-    elif args.kind == "unitary":
-        value = random_unitary(args.n, args.seed)
-    else:
-        value = random_density(args.n, mu, args.seed)
-    _write(args, value)
-    return EXIT_OK
+        return random_pure(args.n * args.n, args.seed)
+    if args.kind == "unitary":
+        return random_unitary(args.n, args.seed)
+    return random_density(args.n, mu, args.seed)
 
 
-def _add_io(sub, infile=True):
-    if infile:
+def _add_io(sub, kind=None):
+    # a document kind adds --in, the subcommand's one input document
+    if kind:
         sub.add_argument("--in", dest="infile", default=None, metavar="FILE",
                          help="input document (default: stdin)")
+        sub.set_defaults(inputs=((kind, "infile", kind),))
     sub.add_argument("--out", dest="out", default=None, metavar="FILE",
                      help="output file (default: stdout)")
 
@@ -276,45 +269,47 @@ def build_parser() -> argparse.ArgumentParser:
     the parser after this build: ``parse_args`` makes a fresh namespace per
     call, ``prog`` is fixed, and the terminal width, ``sys.stdout`` and
     ``sys.stderr`` are read when help or an error is formatted and written,
-    not here.  The subcommand handlers are bound at this build, so code
-    that rebinds one afterwards calls ``build_parser.cache_clear()``;
+    not here.  The subcommand ops are bound at this build, so code that
+    rebinds one afterwards calls ``build_parser.cache_clear()``;
     ``build_parser.__wrapped__()`` makes a fresh parser.
     """
     parser = _Parser(prog="dmgeo", description="density-matrix geometry toolkit")
+    parser.set_defaults(inputs=(), bounds={})
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("purify", help="density document -> canonical purification")
-    _add_io(p)
-    p.set_defaults(func=_cmd_document, kind="density", op=lambda rho, args: purify(rho))
+    _add_io(p, "density")
+    p.set_defaults(op=lambda args, rho: purify(rho))
 
     p = subs.add_parser("trace", help="pure-state document -> partial trace over B")
-    _add_io(p)
-    p.set_defaults(func=_cmd_document, kind="pure_state",
-                   op=lambda psi, args: partial_trace_b(psi))
+    _add_io(p, "pure_state")
+    p.set_defaults(op=lambda args, psi: partial_trace_b(psi))
 
     p = subs.add_parser("connect", help="unitary linking two purifications")
     p.add_argument("--psi", required=True, metavar="FILE", help="first state ('-' for stdin)")
     p.add_argument("--phi", required=True, metavar="FILE", help="second state ('-' for stdin)")
     p.add_argument("--tol", type=_tol, default=CONNECT_TOL,
                    help="entrywise bound on the partial-trace mismatch")
-    _add_io(p, infile=False)
-    p.set_defaults(func=_cmd_connect)
+    _add_io(p)
+    p.set_defaults(inputs=(("psi", "psi", "pure_state"), ("phi", "phi", "pure_state")),
+                   op=_connect, bounds={"residual_bound": RESIDUAL_BOUND})
 
     p = subs.add_parser("classify", help="rank and stratum data of a density matrix")
-    _add_io(p)
+    _add_io(p, "density")
     p.add_argument("--tol", type=_tol, default=RANK_TOL)
-    p.set_defaults(func=_cmd_document, kind="density", op=_classify)
+    p.set_defaults(op=_classify)
 
     p = subs.add_parser("split", help="convex split into rank mu-1 components")
-    _add_io(p)
+    _add_io(p, "density")
     p.add_argument("--tol", type=_tol, default=RANK_TOL)
-    p.set_defaults(func=_cmd_document, kind="density", op=_split)
+    p.set_defaults(op=_split)
 
     p = subs.add_parser("bloch", help="Bloch vector of a qubit state, or the inverse")
-    _add_io(p)
+    _add_io(p, "density")
     p.add_argument("--from", dest="coords", nargs=3, type=float, default=None,
-                   metavar=("X", "Y", "Z"), help="build the density matrix instead")
-    p.set_defaults(func=_cmd_bloch, kind="density", op=_bloch)
+                   action=_FromCoords, metavar=("X", "Y", "Z"),
+                   help="build the density matrix instead")
+    p.set_defaults(op=_bloch)
 
     p = subs.add_parser("verify-dimension",
                         help="check the stratum dimension formula on random samples")
@@ -323,24 +318,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count, default=20)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=_tol, default=RANK_TOL)
-    _add_io(p, infile=False)
-    p.set_defaults(func=_cmd_verify_dimension)
+    _add_io(p)
+    p.set_defaults(op=_verify_dimension, bounds={"spectral_gap": VERIFY_GAP})
 
     p = subs.add_parser("sample", help="seeded random state, unitary, or density matrix")
     p.add_argument("--kind", choices=("pure", "unitary", "density"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mu", type=int, default=None)
     p.add_argument("--seed", type=_seed, default=0)
-    _add_io(p, infile=False)
-    p.set_defaults(func=_cmd_sample)
+    _add_io(p)
+    p.set_defaults(op=_sample)
 
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        return _run(build_parser().parse_args(argv))
     except (DmgeoError, MemoryError) as exc:
         text = str(exc)
         if isinstance(exc, MemoryError):

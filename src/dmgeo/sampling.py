@@ -8,6 +8,8 @@ never on the platform's normal sampler.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import (
@@ -40,7 +42,10 @@ def standard_normal(rng: np.random.Generator, count: int) -> np.ndarray:
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard complex Gaussian array, unit variance per entry."""
-    count = int(np.prod(shape))
+    count = math.prod(map(int, np.atleast_1d(shape)))  # Python ints never wrap around
+    if count > np.iinfo(np.intp).max // 16:
+        # numpy would raise ValueError, not MemoryError, for so large an array
+        raise MemoryError(f"cannot allocate {count} complex normals")
     re = standard_normal(rng, count)
     im = standard_normal(rng, count)
     return ((re + 1.0j * im) / np.sqrt(2.0)).reshape(shape)

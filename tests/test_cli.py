@@ -269,6 +269,30 @@ def test_connect_reads_stdin(run_cli, tmp_path):
     assert set(report["inputs"]) == {"psi", "phi"}
 
 
+def test_connect_refuses_two_stdin_readers(monkeypatch):
+    stdin = io.StringIO(BELL)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli_main(["connect", "--psi", "-", "--phi", "-"])
+    assert (rc, out.getvalue()) == (2, "")
+    assert err.getvalue() == "error: DocumentError: only one of --psi/--phi may read stdin\n"
+    # refused before either input is read
+    assert stdin.tell() == 0
+
+
+def test_connect_residual_too_large(fuzz_paths, monkeypatch):
+    monkeypatch.setattr(cli, "ray_distance", lambda psi, phi: 1e-6)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        rc, out = call_main(["connect", "--psi", fuzz_paths["bell"], "--phi", fuzz_paths["bell"]])
+    assert (rc, err.getvalue()) == (5, "")
+    report = json.loads(out)
+    assert report["status"] == "ResidualTooLarge"
+    assert report["results"]["residual"] == 1e-6
+    assert docs.parse_matrix_document(json.dumps(report["results"]["unitary"]), "unitary").n == 2
+    assert report["tolerances"]["residual_bound"] == cli.RESIDUAL_BOUND
+
+
 def test_connect_rank_deficient_pair(tmp_path):
     # a rank-2 purification from numpy's eigh with its kernel coefficients at
     # 1e-8, moved on B by two unitaries: the pair is related exactly, and a
@@ -299,6 +323,21 @@ def test_out_flag_writes_file(run_cli, tmp_path):
     assert docs.parse_matrix_document(target.read_text()).n == 2
 
 
+@pytest.mark.parametrize("command", [
+    (["classify"], HALF_MIX),
+    (["connect", "--psi", "-", "--phi", "{bell}"], BELL),
+    (["bloch", "--from", "0.3", "-0.4", "0.5"], ""),
+], ids=lambda c: c[0][0])
+def test_out_flag_writes_report_file(fuzz_paths, tmp_path, command):
+    argv, stdin_text = command
+    argv = [a.format(**fuzz_paths) for a in argv]
+    target = tmp_path / "report.json"
+    rc, expected = call_main(argv, stdin_text)
+    assert rc == 0 and '"status": "ok"' in expected
+    assert call_main([*argv, "--out", str(target)], stdin_text) == (0, "")
+    assert target.read_text() == expected
+
+
 def test_verify_dimension_report(run_cli):
     rc, out, err = run_cli(
         ["verify-dimension", "--n", "3", "--mu", "2", "--samples", "4", "--seed", "9"]
@@ -318,6 +357,18 @@ def test_verify_dimension_one_level(run_cli):
     assert report["results"]["formula"] == 0
     assert report["results"]["ranks"] == [0, 0]
     assert report["results"]["all_match"] is True
+
+
+def test_verify_dimension_rank_mismatch(monkeypatch):
+    formula = cli.stratum_dimension(3, 2)
+    monkeypatch.setattr(cli, "tangent_space_rank", lambda rho, tol: formula + 1)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        rc, out = call_main(["verify-dimension", "--n", "3", "--mu", "2", "--samples", "2"])
+    assert (rc, err.getvalue()) == (1, "")
+    report = json.loads(out)
+    assert report["status"] == "RankMismatch"
+    assert report["results"]["ranks"] == [formula + 1] * 2
+    assert report["results"]["all_match"] is False
 
 
 def test_in_process_main_matches_subprocess(run_cli):
@@ -554,6 +605,23 @@ def test_exit_code_out_of_memory(monkeypatch):
     assert err.getvalue() == "error: OutOfMemory: Unable to allocate 596. GiB for an array\n"
 
 
+# each element count is past what numpy can ever allocate, so none is tried;
+# 2^32 squared is 2^64, which an int64 product wraps to 0
+@pytest.mark.parametrize("argv", [
+    ["sample", "--kind", "pure", "--n", "10000000000"],
+    ["sample", "--kind", "unitary", "--n", "100000000000000000000"],
+    ["sample", "--kind", "unitary", "--n", str(2**32)],
+    ["sample", "--kind", "density", "--n", "100000000000000000000", "--mu", "1"],
+    ["verify-dimension", "--n", "100000000000000000000", "--mu", "1"],
+], ids=["pure", "unitary", "unitary-2^32", "density", "verify-dimension"])
+def test_exit_code_oversize_n(argv):
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        rc, out = call_main(argv)
+    assert (rc, out) == (4, "")
+    assert err.getvalue().startswith("error: OutOfMemory: cannot allocate ")
+    assert err.getvalue().count("\n") == 1
+
+
 def test_exit_code_integer_too_large_for_double(run_cli):
     doc = '{"kind": "pure_state", "n": 1, "data": [[1' + "0" * 400 + ', 0]]}'
     rc, out, err = run_cli(["trace"], stdin_text=doc)
@@ -647,6 +715,7 @@ def fuzz_paths(tmp_path_factory):
 _DOCUMENT_COMMANDS = (
     ["purify"], ["trace"], ["classify"], ["split"], ["bloch"],
     ["connect", "--psi", "-", "--phi", "{bell}"],
+    ["connect", "--psi", "{bell}", "--phi", "-"],
 )
 
 
@@ -673,6 +742,7 @@ def test_fuzz_document_commands(fuzz_paths, command, text, missing_out):
     seed=st.integers(0, 2**64 - 1),
 )
 @example(kind="pure", n=-3, mu=None, seed=0)
+@example(kind="pure", n=10**10, mu=None, seed=0)
 def test_fuzz_sample(kind, n, mu, seed):
     argv = ["sample", "--kind", kind, "--n", str(n), "--seed", str(seed)]
     if mu is not None:
