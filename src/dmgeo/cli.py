@@ -250,9 +250,11 @@ class _Parser(argparse.ArgumentParser):
     # as for a document; add_subparsers makes its subparsers of this class
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's own pattern has no exponent, so it would read a value
-        # such as "--from 0.1 -2e-05 0.3" as an option
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # argparse's own pattern has no exponent and no inf or nan, so it
+        # would read a value such as "--from 0.1 -2e-05 0.3" or "-inf" as an
+        # option; float() reads inf, infinity and nan in any case
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
     def print_help(self, file=None):
         if file is None:

@@ -9,11 +9,16 @@ value bit for bit.
 A matrix document is one join of separators, which carry the signs, and
 the texts of its distinct magnitudes: :func:`_fixed_texts` writes those in
 [1e-4, 1) when there are ``_KERNEL_MIN`` or more, ``float.__repr__`` the rest.
+:func:`dumps` is ``json.dumps`` with typed values written through its
+``default`` hook, which stands each one in as the one reserved string
+``"\\0"``.  Reading checks each level of a matrix document's nesting with
+set scans, in :func:`_entries`.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from itertools import chain
 
 import numpy as np
@@ -37,45 +42,39 @@ KINDS = ("density", "pure_state", "unitary")
 HERMITIAN_TRACE_TOL = 1e-12
 
 
-def _check_pairs(entries):
-    for value in entries:
-        if (
-            not isinstance(value, list)
-            or len(value) != 2
-            or not all(
-                isinstance(part, (int, float)) and not isinstance(part, bool)
-                for part in value
-            )
-        ):
-            raise DocumentError(f"entry {value!r} is not a [re, im] pair")
+def _entries(data, shape: tuple) -> np.ndarray:
+    """Complex array of shape ``shape[:-1]`` from the nested lists ``data``,
+    whose innermost lists, of ``shape[-1] == 2``, are the ``[re, im]`` pairs.
 
-
-def _complex_entries(entries: list) -> np.ndarray:
-    """Flat complex array from a non-empty list of [re, im] pairs."""
-    # set scans over the types settle well-formed input in C; the per-entry
-    # check runs only when they fail, to admit subclasses or name the culprit
-    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
-        _check_pairs(entries)
-    leaves = list(chain.from_iterable(entries))
-    if not set(map(type, leaves)) <= {int, float}:
-        _check_pairs(entries)
+    Each level of nesting is checked in turn: set scans over ``type`` and
+    ``len`` settle well-formed input in C, and a loop over the level runs
+    only when they fail, to admit subclasses or to name the node at fault.
+    """
+    nodes = [data]
+    for depth, size in enumerate(shape):
+        if set(map(type, nodes)) != {list} or set(map(len, nodes)) != {size}:
+            _check_each(nodes, shape[:depth], f"a list of {size}",
+                        lambda node: isinstance(node, list) and len(node) == size)
+        nodes = list(chain.from_iterable(nodes))
+    if not set(map(type, nodes)) <= {int, float}:
+        _check_each(nodes, shape, "a number",
+                    lambda leaf: isinstance(leaf, (int, float)) and not isinstance(leaf, bool))
     try:
-        flat = np.array(leaves, dtype=float)
+        flat = np.array(nodes, dtype=float)
     except OverflowError as exc:
         raise DocumentError("an integer entry is too large for a double") from exc
     if not np.isfinite(flat).all():
         raise DocumentError("entries must be finite (no NaN or Inf)")
-    return flat.view(complex)
+    return flat.view(complex).reshape(shape[:-1])
 
 
-def _parse_square(data, n: int) -> np.ndarray:
-    if not isinstance(data, list) or len(data) != n:
-        raise DocumentError(f"expected {n} rows")
-    if set(map(type, data)) != {list} or set(map(len, data)) != {n}:
-        for i, row in enumerate(data):
-            if not isinstance(row, list) or len(row) != n:
-                raise DocumentError(f"row {i} does not have {n} entries")
-    return _complex_entries(list(chain.from_iterable(data))).reshape(n, n)
+def _check_each(nodes: list, dims: tuple, what: str, ok):
+    """Raise a DocumentError naming the first of ``nodes``, the row-major
+    nodes at the index ranges ``dims`` below ``data``, that is not ``ok``."""
+    for k, node in enumerate(nodes):
+        if not ok(node):
+            where = "".join(f"[{i}]" for i in np.unravel_index(k, dims))
+            raise DocumentError(f"data{where} must be {what}, got {reprlib.repr(node)}")
 
 
 #: sign bit of an IEEE double
@@ -206,7 +205,8 @@ def _matrix_text(value) -> str:
     elif isinstance(value, PureState):
         kind, a = "pure_state", value.amplitudes
     else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+        # json.dumps' own error for a value its default hook cannot write
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     # repr would write nan where json.dumps writes NaN; no document holds either
     _require_finite(a)
     # the [re, im] parts in document (row-major) order, as raw bits
@@ -267,15 +267,9 @@ def from_document(obj, kind=None) -> "DensityMatrix | PureState | Unitary":
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise DocumentError(f"n must be a positive integer, got {n!r}")
 
+    m = _entries(obj["data"], (n * n, 2) if kind == "pure_state" else (n, n, 2))
     if kind == "pure_state":
-        data = obj["data"]
-        if not isinstance(data, list) or len(data) != n * n:
-            raise DocumentError(
-                f"pure_state data must hold n^2 = {n * n} amplitudes"
-            )
-        return make_pure_state(_complex_entries(data))
-
-    m = _parse_square(obj["data"], n)
+        return make_pure_state(m)
     if kind == "density":
         check_density(m, HERMITIAN_TRACE_TOL, psd_tol=VALIDATION_TOL)
         return DensityMatrix(m)
@@ -309,49 +303,28 @@ def digest(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-_TYPED = (DensityMatrix, PureState, Unitary)
-
-
-def _holds_typed(node) -> bool:
-    if isinstance(node, dict):
-        node = node.values()
-    elif not isinstance(node, (list, tuple)):
-        return isinstance(node, _TYPED)
-    return any(map(_holds_typed, node))
-
-
-def _chunks(node, out: list):
-    if isinstance(node, _TYPED):
-        out.append(_matrix_text(node))
-    elif not _holds_typed(node):
-        out.append(json.dumps(node))
-    elif isinstance(node, dict):
-        out.append("{")
-        for i, (key, item) in enumerate(node.items()):
-            if i:
-                out.append(", ")
-            # json.dumps writes a key that is not a string as the string of
-            # its JSON, e.g. 1.5 as "1.5" and None as "null"
-            out.append(json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ")
-            _chunks(item, out)
-        out.append("}")
-    else:
-        out.append("[")
-        for i, item in enumerate(node):
-            if i:
-                out.append(", ")
-            _chunks(item, out)
-        out.append("]")
+#: the string that stands for a typed value in ``json.dumps``' text
+_PLACEHOLDER = "\0"
+_PLACEHOLDER_JSON = json.dumps(_PLACEHOLDER)
 
 
 def dumps(doc) -> str:
     """Render a document as one line of UTF-8 JSON, newline-terminated.
 
-    A DensityMatrix, PureState, or Unitary anywhere in ``doc`` is written as
-    its matrix document; everything else is written as ``json.dumps`` writes
-    it.
+    This is ``json.dumps(doc)`` with each DensityMatrix, PureState, or
+    Unitary in ``doc`` written as its matrix document: the ``default`` hook
+    returns the reserved string ``"\\0"`` for it, and each ``"\\u0000"`` in
+    json's text is then swapped for a matrix text.  A document whose own
+    strings or keys json writes as ``"\\u0000"`` raises ``ValueError``.
     """
-    out = []
-    _chunks(doc, out)
-    out.append("\n")
-    return "".join(out)
+    texts = []
+
+    def typed(value):
+        texts.append(_matrix_text(value))
+        return _PLACEHOLDER
+
+    pieces = json.dumps(doc, default=typed).split(_PLACEHOLDER_JSON)
+    if len(pieces) != len(texts) + 1:
+        raise ValueError(f"a string of the document is written as {_PLACEHOLDER_JSON}")
+    texts.append("\n")
+    return "".join(chain.from_iterable(zip(pieces, texts)))

@@ -383,6 +383,21 @@ def test_exit_code_bloch_from_non_finite(run_cli):
     assert "NotFinite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("sign", ["", "+", "-"])
+@pytest.mark.parametrize("spelling", ["inf", "Inf", "INFINITY", "Infinity", "nan", "NaN"])
+def test_bloch_from_non_finite_exits_3_for_each_spelling(sign, spelling):
+    # argparse's negative-number pattern read "-inf" and "-nan" as options,
+    # so --from came up short and exited 2 with a usage message
+    for place in range(3):
+        coords = ["0", "0", "0"]
+        coords[place] = sign + spelling
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc, out = call_main(["bloch", "--from", *coords])
+        assert (rc, out) == (3, "")
+        assert err.getvalue().startswith("error: NotFinite:") and err.getvalue().count("\n") == 1
+
+
 def test_exit_code_verify_dimension_no_samples(run_cli):
     for count in ("0", "-3"):
         rc, out, err = run_cli(["verify-dimension", "--n", "2", "--mu", "2", "--samples", count])

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -155,11 +156,32 @@ def test_large_integer_entries_parse_like_float():
         assert excinfo.value.trace == complex(float(big), 0.0)
 
 
+class _Row(list):
+    pass
+
+
 def test_from_document_accepts_number_subclasses():
     value = docs.from_document(
         {"kind": "pure_state", "n": 1, "data": [[np.float64(0.6), np.float64(0.8)]]}
     )
     np.testing.assert_array_equal(value.amplitudes, [0.6 + 0.8j])
+    # list subclasses at the row level and at the pair level
+    data = [_Row([[0.5, 0], [0, 0]]), [[0, 0], _Row([0.5, np.float64(0)])]]
+    value = docs.from_document({"kind": "density", "n": 2, "data": data})
+    np.testing.assert_array_equal(value.matrix, np.eye(2) / 2)
+    value = docs.from_document({"kind": "pure_state", "n": 1, "data": _Row([_Row([0.6, 0.8])])})
+    np.testing.assert_array_equal(value.amplitudes, [0.6 + 0.8j])
+
+
+@pytest.mark.parametrize("data, named", [
+    ('[[[0.5, 0], [0, 0]], [[0, 0]]]', "data[1] must be a list of 2"),
+    ('[[[0.5, 0], [0, 0, 1]], [[0, 0], [0.5, 0]]]', "data[0][1] must be a list of 2"),
+    ('[[[0.5, 0], [0, 0]], [[0, 0], [0.5, true]]]', "data[1][1][1] must be a number, got True"),
+    ('{}', "data must be a list of 2, got {}"),
+])
+def test_parse_error_names_the_bad_node(data, named):
+    with pytest.raises(DocumentError, match=re.escape(named)):
+        docs.parse_matrix_document('{"kind": "density", "n": 2, "data": %s}' % data)
 
 
 def test_integer_entries_accepted():
@@ -319,6 +341,55 @@ def test_dumps_rejects_unserializable_leaves_as_json_does():
     for doc in ({"a": rho, "b": {1, 2}}, [rho, object()]):
         with pytest.raises(TypeError):
             docs.dumps(doc)
+
+
+def test_dumps_rejects_placeholder_strings():
+    rho = sampling.random_density(2, 2, 1)
+    for doc in ("\0", ["\0"], {"\0": 1}, {"a": rho, "b": "\0"}, {"\0": rho},
+                [rho, '"\0']):
+        with pytest.raises(ValueError):
+            docs.dumps(doc)
+    # the reserved character elsewhere in a string is written as json.dumps writes it
+    doc = {"a\0": ["\0b", rho]}
+    assert docs.dumps(doc) == reference_dumps(doc)
+
+
+def test_dumps_rejects_set_and_numpy_integer_next_to_typed_values():
+    rho = sampling.random_density(2, 2, 1)
+    for doc in ({"a": rho, "b": {1, 2}}, [rho, np.int64(1)], {"a": [np.int64(1), rho]}):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            docs.dumps(doc)
+
+
+_POOL = [sampling.random_density(2, 1, 3), sampling.random_pure(4, 3),
+         sampling.random_unitary(3, 3), sampling.random_density(3, 3, 3)]
+# quotes, backslashes, control characters (the reserved one among them) and
+# non-ASCII, next to any other character
+_STRINGS = st.text(st.sampled_from('"\\/\0\x01\x1f\n\t\x7fé€\u2028😀a') | st.characters(),
+                   max_size=6)
+_KEYS = _STRINGS | st.integers() | st.floats() | st.booleans() | st.none()
+# the placeholder itself joins the typed values, so that some skeletons hold it
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | _STRINGS
+           | st.sampled_from([*_POOL, "\0"]))
+json_skeletons = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_skeletons)
+def test_dumps_matches_reference_on_random_skeletons(doc):
+    expected = reference_dumps(doc)
+    # matrix texts hold no string, so the placeholder's JSON in the
+    # reference text comes from a string of the document
+    if '"\\u0000"' in expected:
+        with pytest.raises(ValueError):
+            docs.dumps(doc)
+    else:
+        assert docs.dumps(doc) == expected
 
 
 # --- the shortest-repr kernel of large documents ---

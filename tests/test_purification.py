@@ -277,6 +277,24 @@ def test_connecting_property(base, seed):
     assert abs(np.linalg.det(v.matrix) - 1.0) <= 1e-9
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.none() | st.integers(1, 6), st.integers(0, 2**32 - 1))
+@example(5, 2, 2003)
+def test_fibre_property(n, rank, seed):
+    # phi = (I (x) w) psi for Haar w lies in psi's fibre over the same rho,
+    # and connecting_unitary must find an SU(n) element that moves psi there;
+    # psi is full rank, or the purification of a rank-mu rho
+    if rank is None:
+        psi = sampling.random_pure(n * n, seed)
+    else:
+        psi = pf.purify(sampling.random_density(n, min(rank, n), seed))
+    phi = pf.apply_local_b(psi, sampling.random_unitary(n, [seed, 1]))
+    v = pf.connecting_unitary(psi, phi)
+    assert core.ray_distance(pf.apply_local_b(psi, v), phi) <= 1e-9
+    assert abs(np.linalg.det(v.matrix) - 1.0) <= 1e-9
+    assert np.linalg.norm(v.matrix.conj().T @ v.matrix - np.eye(n)) <= 1e-10
+
+
 def test_connecting_product_states():
     # exact basis products leave exact zeros on the QR pivots of all but the
     # first column
