@@ -250,11 +250,14 @@ class _Parser(argparse.ArgumentParser):
     # as for a document; add_subparsers makes its subparsers of this class
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's own pattern has no exponent and no inf or nan, so it
-        # would read a value such as "--from 0.1 -2e-05 0.3" or "-inf" as an
-        # option; float() reads inf, infinity and nan in any case
+        # argparse's own pattern has no exponent, no digit underscores and
+        # no inf or nan, so it would read a value such as "--from 0.1 -2e-05
+        # 0.3", "-1_0" or "-inf" as an option; float() reads inf, infinity
+        # and nan in any case, and one "_" between two digits
+        digits = r"\d(?:_?\d)*"
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+            rf"^-({digits}(\.({digits})?)?|\.{digits})(e[-+]?{digits})?$"
+            r"|^-(inf|infinity|nan)$", re.IGNORECASE)
 
     def print_help(self, file=None):
         if file is None:

@@ -17,6 +17,7 @@ input bit-identical, which the golden fixtures rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from math import isqrt
 
 import numpy as np
@@ -69,6 +70,29 @@ def _fresh(cls, *arrays):
     return obj
 
 
+def _memoized(build):
+    """Decorate ``build(value)`` so each value computes its result once,
+    on first use, and keeps it in its own ``__dict__``.
+
+    The memo is not a dataclass field, so ``==``, ``repr`` and
+    ``dataclasses.replace`` ignore it, and later calls return the very
+    arrays the first one built.  That is sound only because the value's
+    arrays are frozen and never written again.  An exception from
+    ``build`` stores nothing, so the next call retries; of two threads that
+    miss at once, both get the result stored first.
+    """
+    key = build.__name__
+
+    @wraps(build)
+    def memo(value):
+        try:
+            return value.__dict__[key]
+        except KeyError:
+            return value.__dict__.setdefault(key, build(value))
+
+    return memo
+
+
 def _divide_real(a: np.ndarray, d: float):
     """Divide the complex array ``a`` in place by the real ``d``, with the
     bits ``np.true_divide(a, d)`` gives.
@@ -94,6 +118,11 @@ class DensityMatrix:
     Instances are meant to be produced by :func:`validate_density` or by
     the operations in this package, all of which establish the
     invariants; the constructor itself only copies and freezes the array.
+
+    The first :func:`spectral_decompose` of an instance is kept with it,
+    so every operation on the same value shares one ``eigh``; a factored
+    value holds another n^2 complex entries.  The memo relies on
+    ``matrix`` never being written again.
     """
 
     matrix: np.ndarray
@@ -113,6 +142,11 @@ class PureState:
     The amplitude of ``|i_A>|j_B>`` sits at flat index ``i*N + j``, so the
     amplitudes reshape row-major into the N x N coefficient matrix C with
     ``C[i, j]`` equal to that amplitude.
+
+    The first SVD of C, taken by :func:`~dmgeo.purification.schmidt` or
+    :func:`~dmgeo.purification.connecting_unitary`, is kept with the
+    instance and shared by both; it holds 2 N^2 complex and N real
+    entries.  The memo relies on ``amplitudes`` never being written again.
     """
 
     amplitudes: np.ndarray
@@ -357,13 +391,15 @@ def _order_degenerate_clusters(values: np.ndarray, vectors: np.ndarray) -> np.nd
     return vectors[:, order]
 
 
+@_memoized
 def spectral_decompose(rho: DensityMatrix) -> SpectralDecomposition:
     """Eigendecompose a density matrix under the package conventions.
 
     Eigenvalues come out descending; eigenvectors get the deterministic
     phase fix, and degenerate clusters are reordered as described in the
-    module docstring.  Calling this twice on the same input yields
-    bit-identical results.
+    module docstring.  Calling this twice on equal inputs yields
+    bit-identical results; on the same instance the second call returns
+    the decomposition the first one built.
 
     Parameters
     ----------

@@ -21,6 +21,7 @@ from .core import (
     _divide_real,
     _fresh,
     _lapack,
+    _memoized,
     _phase_fixed_qr,
     _phases,
     _symmetrized_density,
@@ -58,6 +59,15 @@ class SchmidtDecomposition:
         return PureState(c.reshape(-1))
 
 
+@_memoized
+def _coefficient_svd(psi: PureState) -> tuple:
+    """Read-only ``(u, s, vh)`` of psi's coefficient matrix, kept with psi."""
+    svd = tuple(_lapack(np.linalg.svd, psi.coefficient_matrix()))
+    for a in svd:
+        a.flags.writeable = False
+    return svd
+
+
 def purify(rho: DensityMatrix) -> PureState:
     """Canonical purification sum_i sqrt(lam_i) |i_A>|i_B>.
 
@@ -82,7 +92,8 @@ def partial_trace_b(psi: PureState) -> DensityMatrix:
 
 
 def schmidt(psi: PureState, tol: float = RANK_TOL) -> SchmidtDecomposition:
-    """Schmidt decomposition via SVD of the coefficient matrix.
+    """Schmidt decomposition via the SVD of the coefficient matrix that
+    psi keeps (see :class:`~dmgeo.core.PureState`).
 
     With ``C = U diag(s) Vh`` the A-side basis is the left singular
     vectors and the B-side basis is the rows of ``Vh`` (the conjugated
@@ -91,8 +102,7 @@ def schmidt(psi: PureState, tol: float = RANK_TOL) -> SchmidtDecomposition:
     convention as :func:`~dmgeo.core.spectral_decompose`; the compensating
     phase moves to the B side so the state is unchanged.
     """
-    c = psi.coefficient_matrix()
-    u, s, vh = _lapack(np.linalg.svd, c)
+    u, s, vh = _coefficient_svd(psi)
     mu = numerical_rank(s, tol)
     phases = _phases(u[:, :mu])[:, None]
     basis_a = (u[:, :mu].T * phases).T
@@ -122,10 +132,11 @@ def connecting_unitary(
     """The special unitary v with (I (x) v) psi = phi as rays.
 
     Both states must have the same partial trace over B within ``tol``
-    entrywise.  The construction takes one SVD of psi's coefficient matrix
-    and one phase-fixed QR, with no support cut, so one code path covers
-    degenerate spectra, rank deficiency, and complex phases alike.  The
-    result is normalized into SU(N) with the principal determinant root.
+    entrywise.  The construction takes the SVD of psi's coefficient matrix
+    that psi keeps and one phase-fixed QR, with no support cut, so one code
+    path covers degenerate spectra, rank deficiency, and complex phases
+    alike.  The result is normalized into SU(N) with the principal
+    determinant root.
     """
     if psi.amplitudes.size != phi.amplitudes.size:
         raise DimensionMismatchError(
@@ -144,7 +155,7 @@ def connecting_unitary(
     # v conj(W) S, whose phase-fixed QR factor is v conj(W) up to an
     # orthonormal completion under zero coefficients; each column's error
     # scales with its own coefficient, so nothing needs to be cut
-    u, _, wh = _lapack(np.linalg.svd, c_psi)
+    u, _, wh = _coefficient_svd(psi)
     v = _phase_fixed_qr((u.conj().T @ c_phi).T) @ wh.conj()
     det = complex(_lapack(np.linalg.det, v))
     v = v * det ** (-1.0 / n)

@@ -1,6 +1,8 @@
+import collections
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 
@@ -30,3 +32,19 @@ def run_cli():
         return proc.returncode, proc.stdout, proc.stderr
 
     return run
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Counter of the np.linalg factorizations called during the test."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("eigh", "eigvalsh", "svd", "qr", "det"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return calls

@@ -230,6 +230,26 @@ def test_bloch_from_reads_negative_exponent_forms(text, plain):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("text, plain", [("-1_0", "-10"), ("-0.1_0", "-0.10"),
+                                         ("-.2_5e-0_1", "-0.025"), ("-1_0E-1", "-1.0")])
+def test_bloch_from_reads_negative_digit_underscores(text, plain):
+    # float() reads one "_" between digits, but argparse's pattern did not,
+    # so these were read as options and --from came up short
+    for place in range(3):
+        coords = ["0", "0", "0"]
+        coords[place] = text
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            got = call_main(["bloch", "--from", *coords])
+        coords[place] = plain
+        with contextlib.redirect_stderr(io.StringIO()) as plain_err:
+            assert got == call_main(["bloch", "--from", *coords])
+        assert err.getvalue() == plain_err.getvalue()
+    for text in ("-1__0", "-1_", "-1_.5"):
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+            call_main(["bloch", "--from", "0", text, "0"])
+        assert exc.value.code == 2
+
+
 def test_exit_code_sample_rank_range(run_cli):
     for argv in (
         ["--kind", "density", "--n", "2", "--mu", "3", "--seed", "1"],

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,6 +247,73 @@ def test_lapack_failure_raises_decomposition_failure(monkeypatch):
             patch.setattr(np.linalg, routine, fail)
             with pytest.raises(DecompositionFailureError, match="injected failure"):
                 call()
+
+
+def density_outputs(rho):
+    # every array the operations on rho return, with their layouts
+    dec = core.spectral_decompose(rho)
+    psi = purification.purify(rho)
+    info = strata.classify(rho)
+    split = strata.convex_split(rho)
+    arrays = [dec.eigenvalues, dec.eigenvectors, psi.amplitudes, np.array(info.eigenvalues),
+              split.weights, *(c.matrix for c in split.components)]
+    return [(a.dtype, a.shape, a.strides, a.tobytes()) for a in arrays] + [
+        strata.tangent_space_rank(rho)]
+
+
+def test_density_value_decomposes_once(lapack_calls):
+    rho = sampling.random_generic_density(5, 3, 7)
+    lapack_calls.clear()
+    purification.purify(rho)
+    strata.classify(rho)
+    strata.convex_split(rho)
+    strata.tangent_space_rank(rho)
+    # the svd is the tangent stack's, which is not rho's factorization
+    assert lapack_calls == {"eigh": 1, "svd": 1}
+    assert core.spectral_decompose(rho) is core.spectral_decompose(rho)
+
+
+def test_memo_hit_outputs_match_a_fresh_value():
+    for n, mu, seed in ((4, 4, 1), (6, 3, 2), (9, 5, 3)):
+        rho = sampling.random_generic_density(n, mu, seed)
+        density_outputs(rho)
+        fresh = core.DensityMatrix(rho.matrix.copy())
+        assert density_outputs(rho) == density_outputs(fresh)
+
+
+def test_failed_decomposition_is_not_kept(monkeypatch):
+    rho = sampling.random_density(4, 3, 5)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected failure")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(DecompositionFailureError, match="injected failure"):
+            purification.purify(rho)
+    dec = core.spectral_decompose(rho)
+    fresh = core.spectral_decompose(core.DensityMatrix(rho.matrix))
+    assert dec.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
+    assert dec.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+
+
+def test_memo_is_not_a_field():
+    def compare(a, b):
+        try:
+            return a == b
+        except ValueError as exc:
+            return type(exc)
+
+    for m in ([[1.0]], np.diag([0.75, 0.25])):
+        rho = core.DensityMatrix(m)
+        before = compare(rho, core.DensityMatrix(rho.matrix)), repr(rho)
+        core.spectral_decompose(rho)
+        assert (compare(rho, core.DensityMatrix(rho.matrix)), repr(rho)) == before
+        assert [f.name for f in dataclasses.fields(rho)] == ["matrix"]
+    # a replaced value decomposes its own matrix, not the memo it was made from
+    other = dataclasses.replace(rho, matrix=np.diag([0.25, 0.75]))
+    np.testing.assert_array_equal(core.spectral_decompose(other).eigenvectors,
+                                  [[0, 1], [1, 0]])
 
 
 def loop_fix_phases(vectors):

@@ -6,7 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dmgeo import core, purification as pf, sampling
-from dmgeo.errors import DimensionMismatchError, PartialTraceMismatchError
+from dmgeo.errors import (
+    DecompositionFailureError,
+    DimensionMismatchError,
+    PartialTraceMismatchError,
+)
 
 
 def diag_density(*values):
@@ -295,6 +299,19 @@ def test_fibre_property(n, rank, seed):
     assert np.linalg.norm(v.matrix.conj().T @ v.matrix - np.eye(n)) <= 1e-10
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+@example(4, 2003)
+def test_transfer_identity_property(n, seed):
+    # (R (x) I)|Omega> = (I (x) R^T)|Omega> for the maximally entangled
+    # Omega and any unitary R, within acceptance criterion 3's bound
+    omega = bell(n)
+    r = sampling.random_unitary(n, seed)
+    moved_a = pf.apply_local_a(omega, r)
+    moved_b = pf.apply_local_b(omega, core.Unitary(r.matrix.T))
+    assert core.ray_distance(moved_a, moved_b) <= 1e-12
+
+
 def test_connecting_product_states():
     # exact basis products leave exact zeros on the QR pivots of all but the
     # first column
@@ -326,6 +343,47 @@ def test_connecting_lapack_calls(monkeypatch):
     calls.clear()
     pf.connecting_unitary(psi, base)
     assert calls == {"svd": 1, "qr": 1, "det": 1}
+
+
+def test_schmidt_and_connecting_share_one_svd(lapack_calls):
+    base = pf.purify(conjugated_density([0.5, 0.3, 0.2, 0.0], 4))
+    psi = pf.apply_local_b(base, sampling.random_unitary(4, 5))
+    lapack_calls.clear()
+    pf.schmidt(psi)
+    pf.connecting_unitary(psi, base)
+    pf.schmidt(psi)
+    assert lapack_calls == {"svd": 1, "qr": 1, "det": 1}
+    assert not any(a.flags.writeable for a in pf._coefficient_svd(psi))
+
+
+def state_outputs(psi, phi):
+    sd = pf.schmidt(psi)
+    arrays = [sd.coefficients, sd.basis_a, sd.basis_b, pf.connecting_unitary(psi, phi).matrix]
+    return [sd.mu] + [(a.dtype, a.shape, a.strides, a.tobytes()) for a in arrays]
+
+
+def test_svd_memo_hit_outputs_match_a_fresh_state():
+    for values, seed in (([1.0], 0), ([0.5, 0.5], 1), ([0.4, 0.3, 0.2, 0.1, 0.0], 2)):
+        base = pf.purify(conjugated_density(values, seed))
+        psi = pf.apply_local_b(base, sampling.random_unitary(len(values), seed))
+        state_outputs(psi, base)
+        fresh = core.PureState(psi.amplitudes.copy())
+        assert state_outputs(psi, base) == state_outputs(fresh, base)
+
+
+def test_failed_svd_is_not_kept(monkeypatch):
+    psi = pf.purify(conjugated_density([0.6, 0.3, 0.1], 3))
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected failure")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", fail)
+        for call in (lambda: pf.schmidt(psi), lambda: pf.connecting_unitary(psi, psi)):
+            with pytest.raises(DecompositionFailureError, match="injected failure"):
+                call()
+    fresh = core.PureState(psi.amplitudes)
+    assert state_outputs(psi, psi) == state_outputs(fresh, psi)
 
 
 def test_connecting_rejects_mismatched_traces():
