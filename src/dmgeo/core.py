@@ -8,7 +8,10 @@ Conventions shared by the whole package:
 * every eigenvector carries a fixed phase (its first component of
   modulus above ``PHASE_EPS`` is made real and positive), and vectors
   inside a run of bit-equal eigenvalues are ordered by descending
-  lexicographic comparison of their real parts.
+  lexicographic comparison of their real parts,
+* typed values are immutable: their arrays are read-only, and ``copy``,
+  ``deepcopy`` and ``pickle`` rebuild a value through its constructor, so
+  a copy is read-only too and starts without the original's memo.
 
 The phase and ordering rules make repeated decompositions of identical
 input bit-identical, which the golden fixtures rely on.
@@ -111,6 +114,13 @@ def _divide_real(a: np.ndarray, d: float):
         np.true_divide(a, d, out=a)
 
 
+def _reduce(value):
+    """Reduce a typed value to its class and fields, so that ``copy``,
+    ``deepcopy`` and ``pickle`` rebuild it through the constructor: the copy
+    gets read-only arrays of its own and no memo."""
+    return type(value), tuple(getattr(value, name) for name in value.__dataclass_fields__)
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, positive semidefinite matrix of unit trace.
@@ -126,6 +136,8 @@ class DensityMatrix:
     """
 
     matrix: np.ndarray
+
+    __reduce__ = _reduce
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen(self.matrix))
@@ -150,6 +162,8 @@ class PureState:
     """
 
     amplitudes: np.ndarray
+
+    __reduce__ = _reduce
 
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", _frozen(self.amplitudes))
@@ -176,6 +190,8 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    __reduce__ = _reduce
+
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _frozen(self.eigenvalues, dtype=float))
         object.__setattr__(self, "eigenvectors", _frozen(self.eigenvectors))
@@ -195,6 +211,8 @@ class Unitary:
     """Square matrix with U^dag U = I within validation tolerance."""
 
     matrix: np.ndarray
+
+    __reduce__ = _reduce
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen(self.matrix))
@@ -246,43 +264,29 @@ def check_hermitian_unit_trace(m: np.ndarray, tol: float):
         raise TraceNotOneError(trace)
 
 
-def check_density(m: np.ndarray, tol: float, psd_tol: float | None = None):
-    """Run the density-matrix checks on a raw array without transforming it.
+def check_density(rho: DensityMatrix, tol: float):
+    """Raise :class:`NotPositiveError` unless rho's smallest eigenvalue is
+    at least ``-tol``.
 
-    Parameters
-    ----------
-    m : np.ndarray
-        Square complex matrix.
-    tol : float
-        Tolerance applied to the Hermiticity and trace checks.
-    psd_tol : float, optional
-        Tolerance for the positivity check (how far below zero the
-        smallest eigenvalue may sit); defaults to ``tol``.
-
-    Raises
-    ------
-    NotSquareError, NotFiniteError, NotHermitianError, TraceNotOneError,
-    NotPositiveError
-        On the first failed check, in that order.
+    The eigenvalues are those of rho's own :func:`spectral_decompose`, which
+    stays with the value, so an operation on rho afterwards reuses the
+    decomposition this check made.  Hermiticity and trace are checked on the
+    raw array, by :func:`check_hermitian_unit_trace`, before rho is built.
     """
-    if psd_tol is None:
-        psd_tol = tol
-    check_hermitian_unit_trace(m, tol)
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = 0.5 * (m + m.conj().T)
-    smallest = float(_lapack(np.linalg.eigvalsh, h)[0])
-    if not smallest >= -psd_tol:
+    smallest = float(spectral_decompose(rho).eigenvalues[-1])
+    if not smallest >= -tol:
         raise NotPositiveError(smallest)
 
 
 def validate_density(m, tol: float = VALIDATION_TOL) -> DensityMatrix:
     """Check and normalize a raw matrix into a :class:`DensityMatrix`.
 
-    The input must be square, Hermitian within ``tol``, have trace within
-    ``tol`` of one, and have no eigenvalue below ``-tol``.  The returned
-    matrix is symmetrized as ``(M + M^dag)/2`` and trace-renormalized, so
-    values that pass the checks only approximately are repaired rather
-    than rejected.
+    The input must be square, Hermitian within ``tol`` and have trace within
+    ``tol`` of one.  The returned matrix is symmetrized as ``(M + M^dag)/2``
+    and trace-renormalized, so values that pass the checks only
+    approximately are repaired rather than rejected; it must then have no
+    eigenvalue below ``-tol``.  That decomposition is kept with the result,
+    so the first operation on it takes no ``eigh`` of its own.
 
     Parameters
     ----------
@@ -294,10 +298,22 @@ def validate_density(m, tol: float = VALIDATION_TOL) -> DensityMatrix:
     Returns
     -------
     DensityMatrix
+
+    Raises
+    ------
+    NotSquareError, NotFiniteError, NotHermitianError, TraceNotOneError,
+    NotPositiveError
+        On the first failed check, in that order; finite entries whose
+        symmetrization overflows raise :class:`NotFiniteError`.
     """
     a = np.asarray(m, dtype=complex)
-    check_density(a, tol)
-    return _symmetrized_density(a)
+    check_hermitian_unit_trace(a, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = _symmetrized_density(a)
+    if not np.isfinite(rho.matrix).all():
+        raise NotFiniteError("(M + M^dag) / 2 overflows")
+    check_density(rho, tol)
+    return rho
 
 
 def _symmetrized_density(a: np.ndarray, out: np.ndarray | None = None) -> DensityMatrix:

@@ -30,6 +30,7 @@ from .core import (
     Unitary,
     _require_finite,
     check_density,
+    check_hermitian_unit_trace,
     make_pure_state,
     make_unitary,
 )
@@ -251,7 +252,9 @@ def from_document(obj, kind=None) -> "DensityMatrix | PureState | Unitary":
     one is given, raise :class:`DocumentError`; a well-formed document
     whose numbers violate the type invariants raises the matching
     validation error instead.  Values are wrapped without transformation
-    so round-trips are exact.
+    so round-trips are exact.  A density's positivity is read from its
+    own :func:`~dmgeo.core.spectral_decompose`, which stays with the
+    value, so the command that reads it reuses that ``eigh``.
     """
     if not isinstance(obj, dict):
         raise DocumentError("document is not a JSON object")
@@ -271,8 +274,10 @@ def from_document(obj, kind=None) -> "DensityMatrix | PureState | Unitary":
     if kind == "pure_state":
         return make_pure_state(m)
     if kind == "density":
-        check_density(m, HERMITIAN_TRACE_TOL, psd_tol=VALIDATION_TOL)
-        return DensityMatrix(m)
+        check_hermitian_unit_trace(m, HERMITIAN_TRACE_TOL)
+        rho = DensityMatrix(m)
+        check_density(rho, VALIDATION_TOL)
+        return rho
     return make_unitary(m)
 
 

@@ -17,11 +17,11 @@ from .core import (
     PureState,
     Unitary,
     _fresh,
-    _lapack,
     _phase_fixed_qr,
     _symmetrized_density,
     check_rank_range,
     numerical_rank,
+    spectral_decompose,
 )
 from .errors import RankOutOfRangeError, SamplingExhaustedError
 
@@ -74,14 +74,19 @@ def random_unitary(n: int, seed) -> Unitary:
 
 
 def _draw_until(n, mu, seed, accept, what) -> DensityMatrix:
-    # draw rank-mu densities G G^dag / tr until accept(descending eigvalsh
-    # spectrum) holds
+    """Draw rank-mu densities G G^dag / tr until ``accept`` holds for the
+    descending spectrum of one.
+
+    The spectrum is the draw's own :func:`~dmgeo.core.spectral_decompose`,
+    so the density returned keeps it and its first operation takes no
+    ``eigh`` of its own.
+    """
     check_rank_range(n, mu)
     rng = np.random.default_rng(seed)
     for _ in range(MAX_TRIES):
         g = complex_normal(rng, (n, mu))
         rho = _symmetrized_density(g @ g.conj().T)
-        if accept(_lapack(np.linalg.eigvalsh, rho.matrix)[::-1]):
+        if accept(spectral_decompose(rho).eigenvalues):
             return rho
     raise SamplingExhaustedError(f"no {what} in {MAX_TRIES} tries")
 

@@ -36,7 +36,6 @@ from .errors import (
     DimensionNotTwoError,
     NonGenericSpectrumError,
     NotFiniteError,
-    NotPositiveError,
     OutsideBallError,
 )
 
@@ -322,9 +321,11 @@ def convex_split(rho: DensityMatrix, tol: float = RANK_TOL) -> ConvexSplit:
 
     Components are built from the spectrum and are not re-validated: rho
     is checked once, at ``SPLIT_TOL`` relative to the components, for
-    Hermiticity and trace, and for positivity through its eigenvalues.
-    Near-pure rho, whose rounding error the division by 1 - lam_max blows
-    up towards ``SPLIT_TOL``, instead gets every component validated.
+    Hermiticity and trace, and for positivity through the eigenvalues it
+    was split by.  Near-pure rho, whose rounding error the division by
+    1 - lam_max blows up towards ``SPLIT_TOL``, instead gets every
+    component validated, its positivity through an ``eigh`` that is kept
+    with the component.
 
     The components are read-only slices of one ``(mu, n, n)`` block, so
     keeping one keeps the block (mu * n^2 * 16 bytes).  That changes no
@@ -349,9 +350,7 @@ def convex_split(rho: DensityMatrix, tol: float = RANK_TOL) -> ConvexSplit:
     trusted = rho.n * np.finfo(float).eps * SPLIT_ERROR_MARGIN <= SPLIT_TOL * scale
     if trusted:
         check_hermitian_unit_trace(rho.matrix, SPLIT_TOL * scale)
-        smallest = float(lam[-1]) / scale
-        if smallest < -SPLIT_TOL:
-            raise NotPositiveError(smallest)
+        check_density(rho, SPLIT_TOL * scale)
     # at full rank T is an exact +0.0, and subtracting it keeps every bit
     vectors = dec.eigenvectors
     below = vectors[:, mu:]
@@ -372,9 +371,10 @@ def convex_split(rho: DensityMatrix, tol: float = RANK_TOL) -> ConvexSplit:
         np.subtract(shared, tau, out=tau)
         _divide_real(tau, total)
         weights.append(total / (mu - 1))
-        if not trusted:
-            check_density(tau, SPLIT_TOL)
         components.append(_symmetrized_density(tau, out=block[k]))
+        if not trusted:
+            check_hermitian_unit_trace(tau, SPLIT_TOL)
+            check_density(components[-1], SPLIT_TOL)
     block.flags.writeable = False
     return ConvexSplit(np.array(weights), tuple(components))
 
@@ -383,12 +383,8 @@ def bloch_vector(rho: DensityMatrix) -> BlochVector:
     """Bloch coordinates (Tr rho sigma_x, Tr rho sigma_y, Tr rho sigma_z)."""
     if rho.n != 2:
         raise DimensionNotTwoError(f"n = {rho.n}")
-    m = rho.matrix
-    return BlochVector(
-        x=float(np.trace(m @ SIGMA_X).real),
-        y=float(np.trace(m @ SIGMA_Y).real),
-        z=float(np.trace(m @ SIGMA_Z).real),
-    )
+    x, y, z = np.trace(rho.matrix @ _PAULIS, axis1=1, axis2=2).real.tolist()
+    return BlochVector(x=x, y=y, z=z)
 
 
 def density_from_bloch(r: BlochVector) -> DensityMatrix:

@@ -590,8 +590,8 @@ def test_main_full_parser_without_a_command(argv, stderr_part):
 
 # every subcommand that reaches each LAPACK routine, with the input it needs
 _LAPACK_REACH = {
-    "eigh": ("purify", "classify", "split", "verify-dimension"),
-    "eigvalsh": ("purify", "classify", "split", "bloch", "sample-density", "verify-dimension"),
+    "eigh": ("purify", "classify", "split", "bloch", "sample-density", "verify-dimension"),
+    "eigvalsh": (),
     "svd": ("connect", "verify-dimension"),
     "qr": ("connect", "sample-unitary"),
     "det": ("connect",),
@@ -627,6 +627,23 @@ def test_exit_code_lapack_failure(routine, monkeypatch, tmp_path):
             assert err.getvalue() == "error: DecompositionFailure: injected failure\n", name
         else:
             assert rc == 0, name
+
+
+@pytest.mark.parametrize("command", ["purify", "classify", "split"])
+def test_density_document_is_decomposed_once(command, lapack_calls):
+    # the parse's positivity check takes the eigh that the op then reads
+    text = density_doc_text([0.5, 0.3, 0.2, 0.0])
+    lapack_calls.clear()
+    assert call_main([command], text)[0] == 0
+    assert lapack_calls == {"eigh": 1}
+
+
+def test_verify_dimension_sample_is_decomposed_once(lapack_calls):
+    # the sampler's spectrum test takes the eigh that tangent_space_rank
+    # reads; the svd is the tangent stack's
+    rc, out = call_main(["verify-dimension", "--n", "4", "--mu", "3", "--samples", "1"])
+    assert rc == 0 and json.loads(out)["status"] == "ok"
+    assert lapack_calls == {"eigh": 1, "svd": 1}
 
 
 def test_exit_code_out_of_memory(monkeypatch):

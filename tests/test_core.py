@@ -1,10 +1,14 @@
+import copy
 import dataclasses
+import json
+import pickle
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dmgeo import core, purification, sampling, strata
+from dmgeo import core, documents, purification, sampling, strata
 from dmgeo.errors import (
     DecompositionFailureError,
     DimensionMismatchError,
@@ -60,6 +64,30 @@ def test_validate_rejects_nan():
     m[0, 0] = np.nan
     with pytest.raises(ValidationError):
         core.validate_density(m)
+
+
+def test_symmetrization_overflow_is_a_validation_error_without_warning():
+    # finite, Hermitian, unit trace, but (M + M^dag) / 2 overflows; parsing
+    # decomposes the entries as they are and reports their finite eigenvalue
+    big = 1e308
+    m = np.array([[0.5, big], [big, 0.5]], dtype=complex)
+    text = json.dumps({"kind": "density", "n": 2,
+                       "data": [[[0.5, 0], [big, 0]], [[big, 0], [0.5, 0]]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            core.validate_density(m)
+        with pytest.raises(NotPositiveError) as info:
+            documents.parse_matrix_document(text)
+    assert info.value.min_eigenvalue == -big
+
+
+def test_validated_density_keeps_its_positivity_decomposition(lapack_calls):
+    # the eigh that checks positivity is the one purify reads
+    m = sampling.random_density(4, 3, 8).matrix * (1.0 + 1e-12)
+    lapack_calls.clear()
+    purification.purify(core.validate_density(m))
+    assert lapack_calls == {"eigh": 1}
 
 
 def test_validate_density_leaves_a_writable_input_unchanged():
@@ -240,7 +268,7 @@ def test_lapack_failure_raises_decomposition_failure(monkeypatch):
     for routine, call in (
         ("svd", lambda: strata.tangent_space_rank(rho)),
         ("qr", lambda: sampling.random_unitary(2, 0)),
-        ("eigvalsh", lambda: sampling.random_density(2, 2, 0)),
+        ("eigh", lambda: sampling.random_density(2, 2, 0)),
         ("det", lambda: purification.connecting_unitary(psi, psi)),
     ):
         with monkeypatch.context() as patch:
@@ -262,8 +290,8 @@ def density_outputs(rho):
 
 
 def test_density_value_decomposes_once(lapack_calls):
-    rho = sampling.random_generic_density(5, 3, 7)
     lapack_calls.clear()
+    rho = sampling.random_generic_density(5, 3, 7)
     purification.purify(rho)
     strata.classify(rho)
     strata.convex_split(rho)
@@ -282,7 +310,7 @@ def test_memo_hit_outputs_match_a_fresh_value():
 
 
 def test_failed_decomposition_is_not_kept(monkeypatch):
-    rho = sampling.random_density(4, 3, 5)
+    rho = core.DensityMatrix(sampling.random_density(4, 3, 5).matrix)
 
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("injected failure")
@@ -314,6 +342,59 @@ def test_memo_is_not_a_field():
     other = dataclasses.replace(rho, matrix=np.diag([0.25, 0.75]))
     np.testing.assert_array_equal(core.spectral_decompose(other).eigenvectors,
                                   [[0, 1], [1, 0]])
+
+
+def typed_values():
+    # one of each typed value, with every factorization it keeps filled
+    rho = sampling.random_generic_density(4, 3, 11)
+    psi = purification.purify(rho)
+    purification.schmidt(psi)
+    density_outputs(rho)
+    return rho, psi, core.spectral_decompose(rho), sampling.random_unitary(2, 11)
+
+
+def value_outputs(value):
+    # the bytes of what the operations on a typed value return
+    if isinstance(value, core.DensityMatrix):
+        return density_outputs(value)
+    if isinstance(value, core.PureState):
+        sd = purification.schmidt(value)
+        arrays = (sd.coefficients, sd.basis_a, sd.basis_b,
+                  purification.partial_trace_b(value).matrix,
+                  purification.connecting_unitary(value, value).matrix)
+    elif isinstance(value, core.SpectralDecomposition):
+        arrays = (value.reconstruct(),)
+    else:
+        arrays = (strata.bloch_rotation(value),)
+    return [a.tobytes() for a in arrays]
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    **{f"pickle{p}": lambda v, p=p: pickle.loads(pickle.dumps(v, protocol=p))
+       for p in range(pickle.HIGHEST_PROTOCOL + 1)},
+}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_copied_values_stay_frozen(how):
+    for value in typed_values():
+        dup = COPIES[how](value)
+        assert type(dup) is type(value)
+        names = [f.name for f in dataclasses.fields(value)]
+        # the fields are equal, bit for bit and layout for layout, and no memo
+        # comes along
+        assert list(vars(dup)) == names
+        for name in names:
+            a, b = getattr(value, name), getattr(dup, name)
+            assert (b.dtype, b.shape, b.strides, b.tobytes()) == (
+                a.dtype, a.shape, a.strides, a.tobytes())
+            assert not b.flags.writeable
+            with pytest.raises(ValueError):
+                b[(0,) * b.ndim] = 0
+        fresh = type(value)(*(getattr(value, name).copy() for name in names))
+        assert value_outputs(dup) == value_outputs(fresh) == value_outputs(value)
 
 
 def loop_fix_phases(vectors):

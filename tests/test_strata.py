@@ -673,8 +673,8 @@ def test_convex_split_hermitian_and_trace_checked_on_rho():
 
 
 def test_convex_split_runs_one_eigh_and_no_eigvalsh(monkeypatch):
-    rho = sampling.random_density(5, 4, 21)
-    near_pure = diag_density(1 - 1e-7, 1e-7)
+    rho = core.DensityMatrix(sampling.random_density(5, 4, 21).matrix)
+    near_pure = core.DensityMatrix(diag_density(1 - 1e-7, 1e-7).matrix)
     calls = {"eigh": 0, "eigvalsh": 0}
 
     def counting(name, fn):
@@ -687,10 +687,11 @@ def test_convex_split_runs_one_eigh_and_no_eigvalsh(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     strata.convex_split(rho)
     assert calls == {"eigh": 1, "eigvalsh": 0}
-    # near-pure input validates each of its two components in full
+    # near-pure input validates each of its two components in full: rho's
+    # eigh plus one eigh per component, kept with the component
     calls.update(eigh=0, eigvalsh=0)
     strata.convex_split(near_pure)
-    assert calls == {"eigh": 1, "eigvalsh": 2}
+    assert calls == {"eigh": 3, "eigvalsh": 0}
 
 
 def test_bloch_vector_examples():
@@ -701,6 +702,23 @@ def test_bloch_vector_examples():
     plus = core.validate_density(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
     r = strata.bloch_vector(plus)
     assert (r.x, r.y, r.z) == (1.0, 0.0, 0.0)
+
+
+def test_bloch_vector_equals_three_traces_bitwise():
+    # the stacked traces against one np.trace(m @ sigma) per coordinate, on
+    # entries with signed zeros, tiny and huge magnitudes
+    parts = [0.0, -0.0, 1e-300, -1e-300, 0.25, -0.75, 1e300]
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        m = np.empty((2, 2), dtype=complex)
+        m.real, m.imag = rng.choice(parts, size=(2, 2)), rng.choice(parts, size=(2, 2))
+        if rng.random() < 0.5:
+            m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        rho = core.DensityMatrix(m)
+        r = strata.bloch_vector(rho)
+        want = [float(np.trace(rho.matrix @ s).real)
+                for s in (strata.SIGMA_X, strata.SIGMA_Y, strata.SIGMA_Z)]
+        assert np.array([r.x, r.y, r.z]).tobytes() == np.array(want).tobytes()
 
 
 def test_bloch_vector_needs_qubit():
