@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import re
 import sys
 
 from . import documents as docs
@@ -245,6 +244,24 @@ def _add_io(sub, kind=None):
                      help="output file (default: stdout)")
 
 
+class _NegativeNumber:
+    """argparse's test of whether an argument that starts with "-" is a
+    negative number rather than an option: ``float`` decides, so the
+    arguments read as numbers are exactly those ``type=float`` reads, with
+    their exponents, digit underscores, inf and nan.  argparse only tests
+    the truth of ``match``."""
+
+    @staticmethod
+    def match(s: str) -> bool:
+        if not s.startswith("-"):
+            return False
+        try:
+            float(s)
+        except ValueError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
     # -h prints through _stdout, so that a closed stdout fails the same way
     # as for a document; add_subparsers makes its subparsers of this class
@@ -252,12 +269,8 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         # argparse's own pattern has no exponent, no digit underscores and
         # no inf or nan, so it would read a value such as "--from 0.1 -2e-05
-        # 0.3", "-1_0" or "-inf" as an option; float() reads inf, infinity
-        # and nan in any case, and one "_" between two digits
-        digits = r"\d(?:_?\d)*"
-        self._negative_number_matcher = re.compile(
-            rf"^-({digits}(\.({digits})?)?|\.{digits})(e[-+]?{digits})?$"
-            r"|^-(inf|infinity|nan)$", re.IGNORECASE)
+        # 0.3", "-1_0" or "-inf" as an option
+        self._negative_number_matcher = _NegativeNumber
 
     def print_help(self, file=None):
         if file is None:

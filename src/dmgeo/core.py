@@ -223,7 +223,7 @@ class Unitary:
 
 
 def _require_finite(a: np.ndarray):
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NotFiniteError("entries must be finite (no NaN or Inf)")
 
 
@@ -424,7 +424,14 @@ def spectral_decompose(rho: DensityMatrix) -> SpectralDecomposition:
     Returns
     -------
     SpectralDecomposition
+
+    Raises
+    ------
+    NotFiniteError
+        If rho has a NaN or infinite entry, which the constructor admits;
+        nothing is kept with rho then.
     """
+    _require_finite(rho.matrix)
     values, vectors = _lapack(np.linalg.eigh, rho.matrix)
     values = values[::-1].copy()
     vectors = vectors[:, ::-1]

@@ -6,13 +6,16 @@ plus the tolerances used.  Floats are written in Python's shortest
 round-trip decimal form, so parsing an emitted document reproduces every
 value bit for bit.
 
-A matrix document is one join of separators, which carry the signs, and
-the texts of its distinct magnitudes: :func:`_fixed_texts` writes those in
-[1e-4, 1) when there are ``_KERNEL_MIN`` or more, ``float.__repr__`` the rest.
-:func:`dumps` is ``json.dumps`` with typed values written through its
-``default`` hook, which stands each one in as the one reserved string
-``"\\0"``.  Reading checks each level of a matrix document's nesting with
-set scans, in :func:`_entries`.
+A matrix document of fewer than ``_KERNEL_MIN`` floats is its document
+dict, built from the array by :func:`_document`, which ``json.dumps``
+writes with its own encoder.  A larger one is one join of separators,
+which carry the signs, and the texts of its distinct magnitudes:
+:func:`_fixed_texts` writes those in [1e-4, 1) when there are
+``_KERNEL_MIN`` or more, ``float.__repr__`` the rest.  :func:`dumps` is
+``json.dumps`` with typed values written through its ``default`` hook,
+which returns a small value's dict and stands a large one in as the one
+reserved string ``"\\0"``.  Reading checks each level of a matrix
+document's nesting with set scans, in :func:`_entries`.
 """
 
 from __future__ import annotations
@@ -110,7 +113,8 @@ _ROWS = np.frombuffer(b"".join((b" " * 24 + b"0." + b"0" * w)[-24:] for w in ran
 _FIXED_RANGE = np.array([1e-4, 1.0]).view(np.uint64)
 #: below this many magnitudes in [1e-4, 1), one float.__repr__ each is
 #: faster than the kernel's fixed cost of ~50 numpy calls; the two break even
-#: near 128 (~150 us each with numpy 2.4 on 2 CPUs)
+#: near 128 (~150 us each with numpy 2.4 on 2 CPUs).  A document of fewer
+#: floats can never reach the kernel, so json.dumps writes it from its dict
 _KERNEL_MIN = 128
 
 
@@ -190,15 +194,9 @@ def _reprs(magnitudes: np.ndarray) -> list:
             *map(float.__repr__, values[stop:].tolist())]
 
 
-def _matrix_text(value) -> str:
-    """JSON text of the matrix document for a DensityMatrix, PureState, or
-    Unitary.
-
-    Each entry is written as ``json.dumps`` writes a float, ``repr``, but
-    ``repr`` runs once per distinct magnitude and the sign goes on the
-    separator before it: ``repr(-x) == "-" + repr(x)`` for every finite x,
-    ``-0.0`` included.  About half of a Hermitian density's magnitudes repeat.
-    """
+def _typed_fields(value) -> tuple:
+    """The kind, dimension and checked array of a DensityMatrix, PureState,
+    or Unitary."""
     if isinstance(value, DensityMatrix):
         kind, a = "density", value.matrix
     elif isinstance(value, Unitary):
@@ -210,6 +208,26 @@ def _matrix_text(value) -> str:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     # repr would write nan where json.dumps writes NaN; no document holds either
     _require_finite(a)
+    return kind, value.n, a
+
+
+def _document(kind: str, n: int, a: np.ndarray) -> dict:
+    """The matrix document of the ``kind`` value with dimension ``n`` and
+    array ``a``, its ``[re, im]`` parts as Python floats, which
+    ``json.dumps`` writes with ``float.__repr__``."""
+    # an F-ordered array, such as connecting_unitary's, has no float view
+    data = np.ascontiguousarray(a).view(float).reshape(*a.shape, 2).tolist()
+    return {"kind": kind, "n": n, "data": data}
+
+
+def _matrix_text(kind: str, n: int, a: np.ndarray) -> str:
+    """JSON text of the :func:`_document` of the same arguments.
+
+    Each entry is written as ``json.dumps`` writes a float, ``repr``, but
+    ``repr`` runs once per distinct magnitude and the sign goes on the
+    separator before it: ``repr(-x) == "-" + repr(x)`` for every finite x,
+    ``-0.0`` included.  About half of a Hermitian density's magnitudes repeat.
+    """
     # the [re, im] parts in document (row-major) order, as raw bits
     bits = np.ascontiguousarray(a).view(np.uint64).reshape(-1)
     # np.unique(bits & ~_SIGN, return_inverse=True), without its set-up cost
@@ -227,7 +245,7 @@ def _matrix_text(value) -> str:
     if kind == "pure_state":
         slots[0, 0], close = 1, "]]}"
     else:
-        slots[::2 * value.n, 0] = 2
+        slots[::2 * n, 0] = 2
         slots[0, 0], close = 0, "]]]}"
     slots[:, 0] += (bits >> 63).view(np.int64) * 5
     table = np.array([*_SEPARATORS, *_reprs(ordered[first])], dtype=object)
@@ -235,14 +253,14 @@ def _matrix_text(value) -> str:
     # freed before the join allocates the text: with them alive, a process
     # dumping n=64 documents faulted ~90 fresh pages in per document
     del table, slots
-    return '{"kind": "%s", "n": %d, "data": ' % (kind, value.n) + "".join(parts) + close
+    return '{"kind": "%s", "n": %d, "data": ' % (kind, n) + "".join(parts) + close
 
 
 def matrix_document(value) -> dict:
     """The document of a DensityMatrix, PureState, or Unitary as a dict, for
     callers that edit documents; :func:`dumps` writes typed values as they
     are."""
-    return json.loads(_matrix_text(value))
+    return _document(*_typed_fields(value))
 
 
 def from_document(obj, kind=None) -> "DensityMatrix | PureState | Unitary":
@@ -317,15 +335,20 @@ def dumps(doc) -> str:
     """Render a document as one line of UTF-8 JSON, newline-terminated.
 
     This is ``json.dumps(doc)`` with each DensityMatrix, PureState, or
-    Unitary in ``doc`` written as its matrix document: the ``default`` hook
-    returns the reserved string ``"\\0"`` for it, and each ``"\\u0000"`` in
+    Unitary in ``doc`` written as its matrix document.  The ``default``
+    hook returns the document dict of a value with fewer than
+    ``_KERNEL_MIN`` floats, which json writes in the same pass; for a larger
+    one it returns the reserved string ``"\\0"``, and each ``"\\u0000"`` in
     json's text is then swapped for a matrix text.  A document whose own
     strings or keys json writes as ``"\\u0000"`` raises ``ValueError``.
     """
     texts = []
 
     def typed(value):
-        texts.append(_matrix_text(value))
+        kind, n, a = _typed_fields(value)
+        if 2 * a.size < _KERNEL_MIN:
+            return _document(kind, n, a)
+        texts.append(_matrix_text(kind, n, a))
         return _PLACEHOLDER
 
     pieces = json.dumps(doc, default=typed).split(_PLACEHOLDER_JSON)

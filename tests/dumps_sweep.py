@@ -3,15 +3,18 @@ document, byte for byte.
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/dumps_sweep.py [--sizes 12 69] [--seed 0]
+    PYTHONPATH=src python tests/dumps_sweep.py [--sizes 2 69] [--seed 0]
 
 For each n in the range it writes a full-rank and a low-rank density, the
 canonical purification, a sampled and a connecting unitary, every
 component of a convex split, and three documents of arbitrary magnitudes
 from 1e-9 to 1 with both signs and signed zeros, one of them in Fortran
-order; then a report holding several of those values.  It prints the
-counts and exits 1 on any mismatch.  The tier-1 tests run the same
-comparison on fewer documents.
+order; then a report holding several of those values.  Up to n = 7 every
+value has fewer than ``documents._KERNEL_MIN`` floats and json.dumps
+writes it from its dict; from n = 8 on every one is a matrix text.  n
+starts at 2, the least n with a rank-2 density.  It prints the counts
+and exits 1 on any mismatch.  The tier-1 tests run the same comparison
+on fewer documents.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ def documents_for(n: int, seed: int) -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", type=int, nargs=2, default=[12, 69], metavar=("FIRST", "LAST"))
+    parser.add_argument("--sizes", type=int, nargs=2, default=[2, 69], metavar=("FIRST", "LAST"))
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     count, failed = 0, []

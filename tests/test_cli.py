@@ -250,6 +250,24 @@ def test_bloch_from_reads_negative_digit_underscores(text, plain):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("text, number", [("0.5 ", True), ("1e5", True), ("inf", True),
+                                          ("1_0", True), ("0x1", False)])
+def test_bloch_from_reads_negative_numbers_as_float_does(text, number):
+    # --from reads "-x" as a number exactly when it reads "x" as one; a
+    # coordinate that is not a number ends in a usage error, exit 2
+    def exit_code(coord, place):
+        coords = ["0", "0", "0"]
+        coords[place] = coord
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                return call_main(["bloch", "--from", *coords])[0]
+            except SystemExit as exc:
+                return exc.code
+
+    for place in range(3):
+        assert (exit_code(text, place) != 2) == (exit_code("-" + text, place) != 2) == number
+
+
 def test_exit_code_sample_rank_range(run_cli):
     for argv in (
         ["--kind", "density", "--n", "2", "--mu", "3", "--seed", "1"],

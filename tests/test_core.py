@@ -12,6 +12,7 @@ from dmgeo import core, documents, purification, sampling, strata
 from dmgeo.errors import (
     DecompositionFailureError,
     DimensionMismatchError,
+    NotFiniteError,
     NotHermitianError,
     NotPositiveError,
     NotSquareError,
@@ -323,6 +324,21 @@ def test_failed_decomposition_is_not_kept(monkeypatch):
     fresh = core.spectral_decompose(core.DensityMatrix(rho.matrix))
     assert dec.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
     assert dec.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("op", [strata.classify, purification.purify, strata.convex_split,
+                                strata.tangent_space_rank])
+def test_non_finite_density_raises_not_finite_without_warning(op, bad):
+    # the constructor admits any array; a NaN or infinite entry once warned
+    # in the phase fix and then failed as a rank error, or purified to NaN
+    for m in ([[0.5, bad], [bad, 0.5]], [[bad, 0.0], [0.0, 0.5]]):
+        rho = core.DensityMatrix(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotFiniteError):
+                op(rho)
+        assert "spectral_decompose" not in rho.__dict__
 
 
 def test_memo_is_not_a_field():

@@ -392,6 +392,51 @@ def test_dumps_matches_reference_on_random_skeletons(doc):
         assert docs.dumps(doc) == expected
 
 
+# --- small documents, which json.dumps writes from their dict ---
+
+
+def _bits(doc):
+    # a matrix document's fields, its floats as raw bytes, so -0.0 != 0.0
+    return doc["kind"], doc["n"], np.array(doc["data"], dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n, texts", [(7, 0), (8, 1)])
+def test_documents_on_each_side_of_the_threshold_match_reference_bytes(monkeypatch, n, texts):
+    # 2 n^2 floats: 98 are written by json.dumps from the dict, 128 as a
+    # matrix text
+    calls = []
+    matrix_text = docs._matrix_text
+    monkeypatch.setattr(docs, "_matrix_text", lambda *args: calls.append(args) or matrix_text(*args))
+    for value in (sampling.random_density(n, n, n), sampling.random_pure(n * n, n)):
+        calls.clear()
+        text = docs.dumps(value)
+        assert text == reference_dumps(value)
+        assert len(calls) == texts
+        assert _bits(docs.matrix_document(value)) == _bits(json.loads(text))
+
+
+def test_small_documents_of_any_layout_match_reference_bytes():
+    # signed zeros and subnormals, in C and Fortran order; a Fortran-ordered
+    # array has no float view until it is made contiguous
+    parts = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.0**-1022 - 5e-324, -1e-310, 0.25, -1 / 3])
+    a = parts.view(complex).reshape(2, 2)
+    for m in (a, np.asfortranarray(a), np.asfortranarray(a.T)):
+        for value in (core.DensityMatrix(m), core.Unitary(m), core.PureState(m.reshape(-1))):
+            text = docs.dumps(value)
+            assert text == reference_dumps(value)
+            assert _bits(docs.matrix_document(value)) == _bits(json.loads(text))
+    assert not core.Unitary(np.asfortranarray(a)).matrix.flags.c_contiguous
+
+
+def test_report_of_small_and_large_values_matches_reference_bytes():
+    # dicts from the default hook and placeholders for matrix texts, mixed
+    small, large = sampling.random_density(2, 2, 4), sampling.random_unitary(32, 4)
+    report = docs.report_document("split", {"density": docs.digest("x")},
+                                  {"components": [small, large, small], "unitary": large},
+                                  {"tol": 1e-9})
+    assert docs.dumps(report) == reference_dumps(report)
+
+
 # --- the shortest-repr kernel of large documents ---
 
 # exact bounds and a tie between two shortest texts, which repr breaks to
