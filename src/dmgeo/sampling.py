@@ -3,7 +3,10 @@ density matrices.
 
 The stream is pinned: PCG64 (numpy's default bit generator) drives an
 explicit Box-Muller transform, so outputs depend only on the seed and
-never on the platform's normal sampler.
+never on the platform's normal sampler.  A block of ``count`` complex
+normals reads one run of 4 * ceil(count / 2) uniforms: the real parts'
+u1 then u2, then the imaginary parts' u1 then u2, each ceil(count / 2)
+long.
 """
 
 from __future__ import annotations
@@ -28,26 +31,28 @@ from .errors import RankOutOfRangeError, SamplingExhaustedError
 MAX_TRIES = 1000
 
 
-def standard_normal(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Box-Muller normals over the uniform stream of ``rng``."""
-    half = (count + 1) // 2
-    # 1 - u keeps the log argument strictly positive
-    u1 = 1.0 - rng.random(half)
-    u2 = rng.random(half)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    out = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
-    return out[:count]
+#: complex normals a block may hold; numpy would raise ValueError, not
+#: MemoryError, for a larger array
+_MAX_COUNT = np.iinfo(np.intp).max // 16
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard complex Gaussian array, unit variance per entry."""
-    count = math.prod(map(int, np.atleast_1d(shape)))  # Python ints never wrap around
-    if count > np.iinfo(np.intp).max // 16:
-        # numpy would raise ValueError, not MemoryError, for so large an array
+    """Standard complex Gaussian array, unit variance per entry.
+
+    ``shape`` is an int or a tuple of ints.  One ``rng.random`` call draws
+    the block's uniforms, and one Box-Muller transform maps the real and
+    the imaginary parts together.
+    """
+    # Python ints never wrap around
+    count = math.prod(map(int, shape)) if isinstance(shape, tuple) else int(shape)
+    if count > _MAX_COUNT:
         raise MemoryError(f"cannot allocate {count} complex normals")
-    re = standard_normal(rng, count)
-    im = standard_normal(rng, count)
+    half = (count + 1) // 2
+    u = rng.random(4 * half).reshape(2, 2, half)
+    # 1 - u keeps the log argument strictly positive
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[:, 0]))
+    angle = 2.0 * np.pi * u[:, 1]
+    re, im = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)[:, :count]
     return ((re + 1.0j * im) / np.sqrt(2.0)).reshape(shape)
 
 
@@ -102,8 +107,8 @@ def random_generic_density(n: int, mu: int, seed, gap: float = 1e-3) -> DensityM
     mu < n), suitable for tangent-space checks."""
 
     def generic(lam) -> bool:
-        top = lam[:mu]
-        if mu > 1 and float(np.min(top[:-1] - top[1:])) < gap:
+        top = lam[:mu].tolist()
+        if mu > 1 and min(a - b for a, b in zip(top, top[1:])) < gap:
             return False
         return not (mu < n and top[-1] < gap)
 

@@ -50,6 +50,10 @@ GENERIC_EPS = 1e-8
 #: required ratio between the last kept and first dropped singular value
 GAP_RATIO = 1e6
 
+#: the 0.0 that a missing side of a commutator term reads in the gather
+_ZERO = np.zeros(1)
+_ZERO.flags.writeable = False
+
 #: validation tolerance that every convex-split component must meet
 SPLIT_TOL = 1e-8
 
@@ -256,7 +260,10 @@ def tangent_space_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
     to either cut the singular-value cut can disagree with the eigenvalue
     cut, and the count would match no stratum.
     A singular-value spectrum without a clear cut (ratio below
-    ``GAP_RATIO`` at the threshold) raises rather than guessing.
+    ``GAP_RATIO`` at the threshold) raises rather than guessing, and so
+    does a cut above none or below all of them (a ``tol`` of nan or at
+    least 1, or a tiny one): no stratum has dimension 0 or the stack's
+    full size.
 
     The commutator rows are gathered from rho's entries through a table
     built once per n (O(n^3) entries), so a call builds no basis matrix
@@ -265,16 +272,16 @@ def tangent_space_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
     """
     dec = spectral_decompose(rho)
     mu = numerical_rank(dec.eigenvalues, RANK_TOL)
-    lam = dec.eigenvalues[:mu]
+    spectrum = dec.eigenvalues.tolist()
+    lam, dropped = spectrum[:mu], spectrum[mu:]
     # the basis norms run from sqrt(2) to sqrt(n (n - 1)), so an eigenvalue
     # difference g gives singular values between sqrt(2) g and sqrt(n (n - 1)) g
     n = rho.n
     k = math.sqrt(n * (n - 1) / 2)
     if mu > 1:
         floor = max(GENERIC_EPS, k * tol * max(lam[0], 1.0))
-        if float((lam[:-1] - lam[1:]).min()) < floor:
+        if min(a - b for a, b in zip(lam, lam[1:])) < floor:
             raise NonGenericSpectrumError(f"nonzero eigenvalues closer than {floor:g}")
-    dropped = dec.eigenvalues[mu:]
     if 0 < mu < n and (
         lam[-1] < k * tol * max(lam[0], 1.0)
         or k * (dropped[0] - dropped[-1]) > tol * (lam[0] - dropped[-1])
@@ -285,7 +292,7 @@ def tangent_space_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
 
     nn = n * n
     dest, p, q, alpha, beta, c = _tangent_table(n)
-    x = np.append(rho.matrix.ravel().view(np.float64), 0.0)
+    x = np.concatenate((rho.matrix.ravel().view(np.float64), _ZERO))
     values = x[p]
     values *= alpha
     other = x[q]
@@ -303,7 +310,13 @@ def tangent_space_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
 
     s = _lapack(np.linalg.svd, stack, compute_uv=False)
     rank = int(np.count_nonzero(s > tol * s[0]))
-    if 0 < rank < s.size and s[rank] > 0.0 and s[rank - 1] / s[rank] < GAP_RATIO:
+    if not 0 < rank < s.size:
+        # every stratum's dimension lies strictly between 0 and the
+        # stack's smaller side
+        raise AmbiguousRankError(
+            f"{rank} of {s.size} singular values lie above the cut {tol:g} * largest"
+        )
+    if s[rank] > 0.0 and s[rank - 1] / s[rank] < GAP_RATIO:
         raise AmbiguousRankError(
             f"singular-value ratio at the cut is {s[rank - 1] / s[rank]:.2e}"
         )

@@ -692,6 +692,14 @@ def test_exit_code_oversize_n(argv):
     assert err.getvalue().count("\n") == 1
 
 
+def test_verify_dimension_refuses_a_cut_below_every_singular_value():
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        rc, out = call_main(["verify-dimension", "--n", "3", "--mu", "3", "--tol", "1e-300"])
+    assert (rc, out) == (5, "")
+    assert err.getvalue().startswith("error: AmbiguousRank: 9 of 9 singular values ")
+    assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+
+
 def test_exit_code_integer_too_large_for_double(run_cli):
     doc = '{"kind": "pure_state", "n": 1, "data": [[1' + "0" * 400 + ', 0]]}'
     rc, out, err = run_cli(["trace"], stdin_text=doc)

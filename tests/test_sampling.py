@@ -6,6 +6,7 @@ import pytest
 
 from dmgeo import cli, core, sampling, strata
 from dmgeo.errors import NotSquareError, RankOutOfRangeError, SamplingExhaustedError
+from sampler_sweep import SHAPES, mismatches
 
 
 def test_pure_deterministic():
@@ -145,3 +146,53 @@ def test_generic_density_exhaustion():
     # four eigenvalues summing to one cannot be pairwise 0.5 apart
     with pytest.raises(SamplingExhaustedError):
         sampling.random_generic_density(4, 4, 7, gap=0.5)
+
+
+def test_complex_normal_bitwise_equals_four_call_reference():
+    # one block of uniforms, viewed as (re, im) x (u1, u2), is the stream
+    # of the four calls; also pins the generator state after each draw
+    assert mismatches(range(40)) == []
+
+
+class CountingGenerator:
+    """A generator that counts its ``random`` calls."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def random(self, *args, **kwargs):
+        self._calls.append(args)
+        return self._rng.random(*args, **kwargs)
+
+
+@pytest.fixture
+def random_calls(monkeypatch):
+    calls = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: CountingGenerator(default_rng(seed), calls))
+    return calls
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_complex_normal_draws_once(random_calls, shape):
+    sampling.complex_normal(np.random.default_rng(3), shape)
+    assert len(random_calls) == 1
+
+
+def test_generic_density_draws_once_per_try(random_calls, monkeypatch):
+    tries = []
+    decompose = sampling.spectral_decompose
+    monkeypatch.setattr(sampling, "spectral_decompose",
+                        lambda rho: tries.append(rho) or decompose(rho))
+    counts = []
+    for seed in range(5):
+        del random_calls[:], tries[:]
+        sampling.random_generic_density(4, 4, seed, gap=0.1)
+        assert len(random_calls) == len(tries)
+        counts.append(len(tries))
+    assert max(counts) > 1
+    del random_calls[:], tries[:]
+    with pytest.raises(SamplingExhaustedError):
+        sampling.random_generic_density(4, 4, 7, gap=0.5)
+    assert len(random_calls) == len(tries) == sampling.MAX_TRIES

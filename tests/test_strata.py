@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dmgeo import core, documents, sampling, strata
 from dmgeo.errors import (
     AlreadyPureError,
+    AmbiguousRankError,
     DegenerateTotalWeightError,
     DimensionNotTwoError,
     DmgeoError,
@@ -257,6 +258,26 @@ def test_tangent_rank_refuses_both_sides_of_the_cut():
     for lam, mu in (([0.6, 0.4 - 3e-9, 3e-9, 0.0], 3), ([0.6, 0.4 - 2e-10, 2e-10, 0.0], 2)):
         rho = core.validate_density((u * np.array(lam)) @ u.conj().T)
         assert strata.tangent_space_rank(rho) == strata.stratum_dimension(n, mu)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_tangent_rank_refuses_a_count_of_no_stratum(n):
+    # every stratum dimension mu (2n - mu) - 1 lies strictly between 0 and
+    # the stack's min(n^2 + mu - 2, n^2) singular values, so a cut that
+    # keeps them all or none matches no stratum; at n = 3 and tol 1e-17 the
+    # count read 9 for some seeds, and a nan tol read 0
+    for seed in range(3):
+        rho = sampling.random_generic_density(n, n, 40 * n + seed)
+        for tol in (1e-300, 1e-20):
+            with pytest.raises(AmbiguousRankError, match=f"^AmbiguousRank: {n * n} of {n * n} "):
+                strata.tangent_space_rank(rho, tol=tol)
+        with pytest.raises(AmbiguousRankError, match=f"^AmbiguousRank: 0 of {n * n} "):
+            strata.tangent_space_rank(rho, tol=float("nan"))
+        assert strata.tangent_space_rank(rho) == strata.stratum_dimension(n, n)
+    # a pure qubit passes every spectral guard at tol = 1, which keeps no
+    # singular value
+    with pytest.raises(AmbiguousRankError, match="^AmbiguousRank: 0 of 3 "):
+        strata.tangent_space_rank(diag_density(1.0, 0.0), tol=1.0)
 
 
 def loop_basis(n):
