@@ -181,10 +181,7 @@ def _reprs(magnitudes: np.ndarray) -> list:
     raw bits are ``magnitudes``: through :func:`_fixed_texts` for those in
     [1e-4, 1) when there are ``_KERNEL_MIN`` or more, one by one otherwise."""
     values = magnitudes.view(float)
-    # no more than all of them lie in [1e-4, 1), so small tables skip the search
-    start = stop = 0
-    if magnitudes.size >= _KERNEL_MIN:
-        start, stop = np.searchsorted(magnitudes, _FIXED_RANGE).tolist()
+    start, stop = np.searchsorted(magnitudes, _FIXED_RANGE).tolist()
     if stop - start < _KERNEL_MIN:
         return list(map(float.__repr__, values.tolist()))
     texts, general = _fixed_texts(magnitudes[start:stop])
@@ -230,16 +227,10 @@ def _matrix_text(kind: str, n: int, a: np.ndarray) -> str:
     """
     # the [re, im] parts in document (row-major) order, as raw bits
     bits = np.ascontiguousarray(a).view(np.uint64).reshape(-1)
-    # np.unique(bits & ~_SIGN, return_inverse=True), without its set-up cost
-    ordered = bits & ~_SIGN
-    order = np.argsort(ordered)
-    ordered = ordered[order]
-    first = np.empty(ordered.size, bool)
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    magnitudes, inverse = np.unique(bits & ~_SIGN, return_inverse=True)
     # each part's separator and magnitude text, as positions in the table
     slots = np.empty((bits.size, 2), np.int64)
-    slots[order, 1] = np.cumsum(first) + (len(_SEPARATORS) - 1)
+    slots[:, 1] = inverse + len(_SEPARATORS)
     slots[:, 0] = 4
     slots[::2, 0] = 3
     if kind == "pure_state":
@@ -248,7 +239,7 @@ def _matrix_text(kind: str, n: int, a: np.ndarray) -> str:
         slots[::2 * n, 0] = 2
         slots[0, 0], close = 0, "]]]}"
     slots[:, 0] += (bits >> 63).view(np.int64) * 5
-    table = np.array([*_SEPARATORS, *_reprs(ordered[first])], dtype=object)
+    table = np.array([*_SEPARATORS, *_reprs(magnitudes)], dtype=object)
     parts = table[slots.reshape(-1)].tolist()
     # freed before the join allocates the text: with them alive, a process
     # dumping n=64 documents faulted ~90 fresh pages in per document

@@ -26,7 +26,7 @@ from .core import (
     numerical_rank,
     spectral_decompose,
 )
-from .errors import RankOutOfRangeError, SamplingExhaustedError
+from .errors import PreconditionError, RankOutOfRangeError, SamplingExhaustedError
 
 MAX_TRIES = 1000
 
@@ -104,7 +104,11 @@ def random_density(n: int, mu: int, seed) -> DensityMatrix:
 def random_generic_density(n: int, mu: int, seed, gap: float = 1e-3) -> DensityMatrix:
     """Rank-mu density matrix whose nonzero eigenvalues are pairwise at
     least ``gap`` apart (and at least ``gap`` above the zero block when
-    mu < n), suitable for tangent-space checks."""
+    mu < n), suitable for tangent-space checks.  A ``gap`` of 0.0 requires
+    no separation; a negative, infinite or NaN one is refused before any
+    draw."""
+    if not 0.0 <= gap < math.inf:
+        raise PreconditionError(f"gap must be finite and non-negative, got {gap!r}")
 
     def generic(lam) -> bool:
         top = lam[:mu].tolist()

@@ -293,13 +293,7 @@ def tangent_space_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
     nn = n * n
     dest, p, q, alpha, beta, c = _tangent_table(n)
     x = np.concatenate((rho.matrix.ravel().view(np.float64), _ZERO))
-    values = x[p]
-    values *= alpha
-    other = x[q]
-    other *= beta
-    values -= other
-    del other
-    values *= c
+    values = c * (alpha * x[p] - beta * x[q])
     stack = np.zeros((nn + mu - 2, nn))
     stack.ravel()[dest] = values
     vecs = dec.eigenvectors[:, :mu].T

@@ -9,9 +9,11 @@ For each n in the range it writes a full-rank and a low-rank density, the
 canonical purification, a sampled and a connecting unitary, every
 component of a convex split, and three documents of arbitrary magnitudes
 from 1e-9 to 1 with both signs and signed zeros, one of them in Fortran
-order; then a report holding several of those values.  Up to n = 7 every
-value has fewer than ``documents._KERNEL_MIN`` floats and json.dumps
-writes it from its dict; from n = 8 on every one is a matrix text.  n
+order; four structured values of two or three magnitudes, which the
+matrix text writes with ``float.__repr__`` alone; then a report holding
+several of those values.  Up to n = 7 every value has fewer than
+``documents._KERNEL_MIN`` floats and json.dumps writes it from its dict;
+from n = 8 on every one is a matrix text.  n
 starts at 2, the least n with a rank-2 density.  It prints the counts
 and exits 1 on any mismatch.  The tier-1 tests run the same comparison
 on fewer documents.
@@ -58,6 +60,19 @@ def arbitrary(rng, n, fortran) -> np.ndarray:
     return np.asfortranarray(a) if fortran else a
 
 
+def structured(n: int) -> list:
+    """An identity and a cyclic permutation unitary, a diagonal density of
+    dyadic weights 1 - (n - 1) w and w, and the purification of a basis
+    state: parts 0.0 and at most two other magnitudes."""
+    w = 1.0 / (1 << (n - 1).bit_length())
+    basis = np.zeros((n, n), complex)
+    basis[0, 0] = 1.0
+    return [core.Unitary(np.eye(n, dtype=complex)),
+            core.Unitary(np.roll(np.eye(n, dtype=complex), 1, axis=0)),
+            core.DensityMatrix(np.diag([1.0 - (n - 1) * w] + [w] * (n - 1)).astype(complex)),
+            purification.purify(core.DensityMatrix(basis))]
+
+
 def documents_for(n: int, seed: int) -> list:
     """The typed values and the report swept at size n."""
     rng = np.random.default_rng([seed, n])
@@ -70,7 +85,8 @@ def documents_for(n: int, seed: int) -> list:
               *strata.convex_split(low).components,
               core.DensityMatrix(arbitrary(rng, n, False)),
               core.Unitary(arbitrary(rng, n, True)),
-              core.PureState(arbitrary(rng, n, False).reshape(-1))]
+              core.PureState(arbitrary(rng, n, False).reshape(-1)),
+              *structured(n)]
     report = docs.report_document("split", {"density": docs.digest(str(n))},
                                   {"weights": [0.25, -0.0, 1e-9], "components": values[:3],
                                    "unitary": values[4]}, {"tol": 1e-9})

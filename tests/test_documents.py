@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dmgeo import core, documents as docs, sampling, strata
+from dumps_sweep import structured
 from repr_sweep import KERNEL_RANGE, kernel_mismatches, powers_of_two
 from dmgeo.errors import (
     DocumentError,
@@ -512,6 +513,33 @@ def test_kernel_writes_only_large_documents(monkeypatch):
     assert calls == []
     docs.dumps(sampling.random_density(32, 32, 1))
     assert len(calls) == 1 and calls[0] >= docs._KERNEL_MIN
+
+
+@pytest.mark.parametrize("inside", [0, 1, 127, 128])
+def test_reprs_match_repr_on_each_side_of_the_kernel_gate(monkeypatch, inside):
+    # magnitudes outside [1e-4, 1) around ``inside`` ones in it: the kernel
+    # writes them from _KERNEL_MIN on, float.__repr__ below
+    calls = []
+    kernel = docs._fixed_texts
+    monkeypatch.setattr(docs, "_fixed_texts", lambda bits: calls.append(bits.size) or kernel(bits))
+    rng = np.random.default_rng(inside)
+    values = np.unique(np.concatenate([[0.0, 5e-324, 1e-5, 9.999999999999999e-05, 1.0, 2.5, 1e16],
+                                       rng.uniform(1e-4, 1.0, inside)]))
+    assert ((values >= 1e-4) & (values < 1)).sum() == inside
+    assert docs._reprs(values.view(np.uint64)) == list(map(float.__repr__, values.tolist()))
+    assert calls == ([inside] if inside >= docs._KERNEL_MIN else [])
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_matrix_texts_of_few_magnitudes_match_reference_bytes(n):
+    # identity and permutation unitaries, a dyadic diagonal density and a
+    # basis state's purification: matrix texts of two or three magnitudes
+    for value in structured(n):
+        a = value.amplitudes if isinstance(value, core.PureState) else value.matrix
+        assert 2 <= np.unique(np.abs(a.view(float))).size <= 3
+        text = docs.dumps(value)
+        assert text == reference_dumps(value)
+        assert _bits(docs.matrix_document(value)) == _bits(json.loads(text))
 
 
 # --- the separators that carry the signs ---

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from dmgeo import cli, core, sampling, strata
-from dmgeo.errors import NotSquareError, RankOutOfRangeError, SamplingExhaustedError
+from dmgeo.errors import (
+    NotSquareError,
+    PreconditionError,
+    RankOutOfRangeError,
+    SamplingExhaustedError,
+)
 from sampler_sweep import SHAPES, mismatches
 
 
@@ -196,3 +201,16 @@ def test_generic_density_draws_once_per_try(random_calls, monkeypatch):
     with pytest.raises(SamplingExhaustedError):
         sampling.random_generic_density(4, 4, 7, gap=0.5)
     assert len(random_calls) == len(tries) == sampling.MAX_TRIES
+
+
+@pytest.mark.parametrize("gap", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_generic_density_refuses_bad_gap_before_drawing(random_calls, gap):
+    with pytest.raises(PreconditionError, match=f"got {gap!r}"):
+        sampling.random_generic_density(3, 3, 0, gap=gap)
+    assert random_calls == []
+
+
+def test_generic_density_zero_gap_requires_no_separation(random_calls):
+    rho = sampling.random_generic_density(3, 3, 0, gap=0.0)
+    assert len(random_calls) == 1
+    assert core.numerical_rank(np.linalg.eigvalsh(rho.matrix)[::-1]) == 3
