@@ -34,6 +34,7 @@ from .errors import (
     NotPositiveError,
     NotSquareError,
     NotUnitaryError,
+    PreconditionError,
     RankOutOfRangeError,
     TraceNotOneError,
 )
@@ -321,11 +322,12 @@ def _symmetrized_density(a: np.ndarray, out: np.ndarray | None = None) -> Densit
     fresh buffer frozen in place.
 
     ``out``, when given, is the fresh ``complex`` buffer to build it in,
-    with a's shape; it must not overlap ``a``.
+    with a's shape; it must not overlap ``a``, since conj(a^T) is written
+    into it before ``a`` is added.
     """
-    h = np.add(a, a.conj().T, out=out)
+    h = np.add(a, a.conj().T if out is None else np.conjugate(a.T, out=out), out=out)
     np.multiply(0.5, h, out=h)
-    tr = float(np.trace(h).real)
+    tr = float(h.trace().real)
     # numpy's complex division by 1.0 turns -0.0 into +0.0, so dividing by an
     # exact unit trace would change the signed zeros of emitted documents
     if tr != 1.0:
@@ -444,8 +446,12 @@ def numerical_rank(values, tol: float = RANK_TOL) -> int:
 
     Works for eigenvalue and singular-value vectors alike.  The floor of
     one in the threshold keeps the cutoff meaningful for spectra that sum
-    to unity; an all-zero vector has rank 0.
+    to unity; an all-zero vector has rank 0.  ``tol`` must lie strictly
+    between 0 and 1: a NaN or one outside that range is refused with
+    :class:`PreconditionError`, since it would keep every entry, or none.
     """
+    if not 0.0 < tol < 1.0:
+        raise PreconditionError(f"tol must lie strictly between 0 and 1, got {tol!r}")
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         return 0

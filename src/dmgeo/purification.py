@@ -9,6 +9,7 @@ maps C to C v^T.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from .core import (
     numerical_rank,
     spectral_decompose,
 )
-from .errors import DimensionMismatchError, PartialTraceMismatchError
+from .errors import DimensionMismatchError, PartialTraceMismatchError, PreconditionError
 
 #: eigenvalues below this (relative to the largest) are treated as exact
 #: zeros when purifying; sqrt of eigensolver noise would otherwise inject
@@ -132,12 +133,15 @@ def connecting_unitary(
     """The special unitary v with (I (x) v) psi = phi as rays.
 
     Both states must have the same partial trace over B within ``tol``
-    entrywise.  The construction takes the SVD of psi's coefficient matrix
-    that psi keeps and one phase-fixed QR, with no support cut, so one code
-    path covers degenerate spectra, rank deficiency, and complex phases
-    alike.  The result is normalized into SU(N) with the principal
+    entrywise; a ``tol`` of 0.0 asks for exact equality, and a negative,
+    infinite or NaN one is refused before any product.  The construction
+    takes the SVD of psi's coefficient matrix that psi keeps and one
+    phase-fixed QR, with no support cut, so one code path covers
+    degenerate spectra, rank deficiency, and complex phases alike.  The result is normalized into SU(N) with the principal
     determinant root.
     """
+    if not 0.0 <= tol < math.inf:
+        raise PreconditionError(f"tol must be finite and non-negative, got {tol!r}")
     if psi.amplitudes.size != phi.amplitudes.size:
         raise DimensionMismatchError(
             f"state dimensions {psi.amplitudes.size} and {phi.amplitudes.size}"

@@ -363,27 +363,27 @@ def convex_split(rho: DensityMatrix, tol: float = RANK_TOL) -> ConvexSplit:
     below = vectors[:, mu:]
     shared = rho.matrix - (below * (lam[mu:] / mu)) @ below.conj().T
     t = lam[mu:].sum()
+    totals = 1.0 - lam[:mu] - t / mu
+    rows = vectors[:, :mu].T
     n = rho.n
     block = np.empty((mu, n, n), dtype=complex)
     tau = np.empty((n, n), dtype=complex)
-    weights = []
     components = []
-    for k in range(mu):
-        lam_k = lam[k]
-        total = 1.0 - lam_k - t / mu
+    for row, conj_row, lam_k, total, out in zip(
+        rows, rows.conj(), lam[:mu].tolist(), totals.tolist(), block
+    ):
         # tau = (shared - lam_k P_k) / total in one scratch for every k,
         # symmetrized into the block's slice k
-        np.outer(vectors[:, k], vectors[:, k].conj(), out=tau)
+        np.multiply(row[:, None], conj_row, out=tau)
         np.multiply(lam_k, tau, out=tau)
         np.subtract(shared, tau, out=tau)
         _divide_real(tau, total)
-        weights.append(total / (mu - 1))
-        components.append(_symmetrized_density(tau, out=block[k]))
+        components.append(_symmetrized_density(tau, out=out))
         if not trusted:
             check_hermitian_unit_trace(tau, SPLIT_TOL)
             check_density(components[-1], SPLIT_TOL)
     block.flags.writeable = False
-    return ConvexSplit(np.array(weights), tuple(components))
+    return ConvexSplit(totals / (mu - 1), tuple(components))
 
 
 def bloch_vector(rho: DensityMatrix) -> BlochVector:

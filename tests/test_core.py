@@ -16,6 +16,7 @@ from dmgeo.errors import (
     NotHermitianError,
     NotPositiveError,
     NotSquareError,
+    PreconditionError,
     TraceNotOneError,
     ValidationError,
 )
@@ -220,6 +221,26 @@ def test_numerical_rank_examples():
     assert core.numerical_rank([0.5, 0.5, 0.0, 0.0], 1e-9) == 2
     assert core.numerical_rank([0.0, 0.0], 1e-9) == 0
     assert core.numerical_rank([], 1e-9) == 0
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, 1.0])
+def test_rank_cut_refuses_tol_outside_the_unit_interval(tol):
+    # a cut at or below 0 keeps noise-level eigenvalues, one at or above 1
+    # or a NaN keeps none; each routine that cuts a spectrum refuses it
+    rho = sampling.random_density(3, 1, 5)
+    psi = purification.purify(rho)
+    calls = [
+        lambda: core.numerical_rank([0.7, 0.3], tol),
+        lambda: core.numerical_rank([], tol),
+        lambda: strata.classify(rho, tol=tol),
+        lambda: strata.convex_split(rho, tol=tol),
+        lambda: purification.schmidt(psi, tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError, match=f"got {tol!r}"):
+            call()
+    assert core.numerical_rank([0.7, 0.3], 0.5) == 1
+    assert core.numerical_rank([0.7, 0.3], 5e-324) == 2
 
 
 def test_ray_distance_identity_and_phase():

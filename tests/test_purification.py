@@ -10,6 +10,7 @@ from dmgeo.errors import (
     DecompositionFailureError,
     DimensionMismatchError,
     PartialTraceMismatchError,
+    PreconditionError,
 )
 
 
@@ -391,6 +392,27 @@ def test_connecting_rejects_mismatched_traces():
     phi = pf.purify(diag_density(0.6, 0.4))
     with pytest.raises(PartialTraceMismatchError):
         pf.connecting_unitary(psi, phi)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_connecting_refuses_bad_tol(tol):
+    # states whose partial traces differ by 0.46; a NaN tol used to let
+    # `deviation > tol` pass and connect them
+    psi = pf.purify(sampling.random_density(3, 3, 1))
+    phi = pf.purify(sampling.random_density(3, 3, 2))
+    for other in (psi, phi):
+        with pytest.raises(PreconditionError, match=f"got {tol!r}"):
+            pf.connecting_unitary(psi, other, tol=tol)
+
+
+def test_connecting_zero_tol_requires_exact_equality():
+    psi = pf.purify(sampling.random_density(3, 3, 1))
+    v = pf.connecting_unitary(psi, psi, tol=0.0)
+    assert core.ray_distance(pf.apply_local_b(psi, v), psi) < 1e-14
+    rotated = pf.apply_local_b(psi, sampling.random_unitary(3, 4))
+    with pytest.raises(PartialTraceMismatchError):
+        pf.connecting_unitary(psi, rotated, tol=0.0)
+    pf.connecting_unitary(psi, rotated)
 
 
 def test_connecting_dimension_mismatch():

@@ -19,6 +19,8 @@ from dmgeo.errors import (
     RankOutOfRangeError,
     TraceNotOneError,
 )
+from split_sweep import density as sweep_density, layout as sweep_layout
+from split_sweep import reference_split as sweep_reference_split
 
 
 def diag_density(*values):
@@ -656,6 +658,26 @@ def test_convex_split_components_equal_separate_buffers(lam, diagonal, trusted):
             assert zero.any()
             assert np.array_equal(np.signbit(comp.matrix.view(float)[zero]),
                                   np.signbit(ref.view(float)[zero]))
+
+
+@pytest.mark.parametrize("n, mu, kind", [
+    (24, 12, "tail"), (48, 48, "tied"), (64, 8, "near-pure"), (64, 64, "spread"),
+])
+def test_convex_split_bytes_equal_plain_reference_at_workload_sizes(n, mu, kind):
+    # the sizes lib-large and cli-large split, beyond the n <= 6 above;
+    # split_sweep.py runs the same comparison on every shape up to n = 8
+    # and on these sizes, over more seeds
+    rho = sweep_density(n, mu, kind, 0)
+    lam = core.spectral_decompose(rho).eigenvalues
+    assert core.numerical_rank(lam) == mu
+    if kind == "tail":
+        assert lam[mu:].sum() > 1e-13
+    weights, components = sweep_reference_split(rho)
+    split = strata.convex_split(rho)
+    assert split.weights.dtype == weights.dtype
+    assert split.weights.tobytes() == weights.tobytes()
+    assert [sweep_layout(c.matrix) for c in split.components] == [
+        sweep_layout(c) for c in components]
 
 
 def test_convex_split_components_share_one_read_only_block():
