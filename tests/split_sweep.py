@@ -1,5 +1,5 @@
 """Sweep of ``strata.convex_split`` against a plain-numpy reference, byte
-for byte.
+for byte, and of every returned component against the density checks.
 
 Run from the repository root:
 
@@ -11,8 +11,12 @@ splits it twice: with ``convex_split`` and with ``reference_split``, which
 spells the component build out in plain numpy so that it does not move
 with the package's kernels.  It compares the weights' bytes and each
 component's bytes, strides and contiguity, or the error class when either
-side raises.  It prints the counts and exits 1 on any mismatch.  The
-tier-1 tests run the same comparison at the benchmark's sizes.
+side raises.  ``convex_split`` checks no component, so ``oracle`` does: each
+returned component's unsymmetrized ``tau`` must be Hermitian and of unit
+trace within ``SPLIT_TOL``, and the component's smallest eigenvalue at
+least ``-SPLIT_TOL``.  It prints the counts, the refusals per kind, and
+exits 1 on any mismatch or oracle failure.  The tier-1 tests run the same
+comparison at the benchmark's sizes.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import numpy as np
 from dmgeo import sampling, strata
 from dmgeo.core import (
     RANK_TOL,
-    check_density,
     check_hermitian_unit_trace,
     numerical_rank,
     spectral_decompose,
@@ -43,10 +46,16 @@ SHAPES = (
 
 #: spread: distinct levels, rotated by a random unitary; tied: two levels
 #: on the diagonal, so eigh returns bit-equal values and unit eigenvectors
-#: full of signed zeros; near-pure: 1 - lam_max below ``n * eps * 1e3 /
-#: SPLIT_TOL``, so every component is validated; tail: spread levels plus
-#: n - mu eigenvalues below the rank cut, so t != 0 (only below full rank)
-KINDS = ("spread", "tied", "near-pure", "tail")
+#: full of signed zeros; near-pure: 1 - lam_max from 3e-6 to 3e-5, where the
+#: division by it amplifies the build's rounding 1e5-fold; tail: spread
+#: levels plus n - mu eigenvalues below the rank cut, so t != 0 (only below
+#: full rank); boundary: 1 - lam_max within a factor 10**0.5 either side of
+#: ``BOUNDARY``, where the rule starts to refuse, with +-1e-13 tails below
+#: full rank, so a negative one is refused
+KINDS = ("spread", "tied", "near-pure", "tail", "boundary")
+
+#: the 1 - lam_max below which convex_split refuses every split
+BOUNDARY = np.finfo(float).eps * strata.SPLIT_ERROR_MARGIN / strata.SPLIT_TOL
 
 
 def density(n: int, mu: int, kind: str, seed: int):
@@ -56,8 +65,12 @@ def density(n: int, mu: int, kind: str, seed: int):
     tail = np.zeros(n - mu)
     if kind == "tied":
         head = rng.uniform(0.05, 1.0, 2)[rng.integers(0, 2, mu)]
-    elif kind == "near-pure":
-        rest = 10.0 ** -rng.uniform(4.5, 5.5)
+    elif kind in ("near-pure", "boundary"):
+        if kind == "near-pure":
+            rest = 10.0 ** -rng.uniform(4.5, 5.5)
+        else:
+            rest = BOUNDARY * 10.0 ** rng.uniform(-0.5, 0.5)
+            tail = rng.choice([1e-13, -1e-13], n - mu)
         head = rng.uniform(0.5, 1.0, mu)
         head[1:] *= rest / head[1:].sum()
         head[0] = 1.0 - rest
@@ -77,27 +90,24 @@ def _divide(a: np.ndarray, d: float) -> np.ndarray:
 
 
 def reference_split(rho, tol: float = RANK_TOL):
-    """Weights and components of ``convex_split(rho, tol)``, each component
-    in its own buffers: ``np.outer``, times lam_k, ``shared -`` it, divided
-    by its total, then ``(tau + tau^dag) * 0.5`` renormalized unless its
-    trace is exactly 1.0; near-pure rho also gets each component through
-    ``validate_density`` for its raise."""
+    """Weights, components and unsymmetrized taus of ``convex_split(rho,
+    tol)``, each component in its own buffers: ``np.outer``, times lam_k,
+    ``shared -`` it, divided by its total (tau), then ``(tau + tau^dag) *
+    0.5`` renormalized unless its trace is exactly 1.0."""
     dec = spectral_decompose(rho)
     lam, vectors = dec.eigenvalues, dec.eigenvectors
     mu = numerical_rank(lam, tol)
     if mu < 2:
         raise AlreadyPureError(mu)
     scale = 1.0 - lam[0]
-    if scale <= tol:
+    if not strata.SPLIT_TOL * scale >= max(np.finfo(float).eps * strata.SPLIT_ERROR_MARGIN,
+                                           -lam[-1]):
         raise DegenerateTotalWeightError(lam[0])
-    trusted = rho.n * np.finfo(float).eps * strata.SPLIT_ERROR_MARGIN <= strata.SPLIT_TOL * scale
-    if trusted:
-        check_hermitian_unit_trace(rho.matrix, strata.SPLIT_TOL * scale)
-        check_density(rho, strata.SPLIT_TOL * scale)
+    check_hermitian_unit_trace(rho.matrix, strata.SPLIT_TOL * scale)
     below = vectors[:, mu:]
     shared = rho.matrix - (below * (lam[mu:] / mu)) @ below.conj().T
     t = lam[mu:].sum()
-    weights, components = [], []
+    weights, components, taus = [], [], []
     for k in range(mu):
         total = 1.0 - lam[k] - t / mu
         tau = _divide(shared - lam[k] * np.outer(vectors[:, k], vectors[:, k].conj()), total)
@@ -105,11 +115,25 @@ def reference_split(rho, tol: float = RANK_TOL):
         tr = float(np.trace(h).real)
         if tr != 1.0:
             h = _divide(h, tr)
-        if not trusted:
-            validate_density(tau, tol=strata.SPLIT_TOL)
         weights.append(total / (mu - 1))
         components.append(h)
-    return np.array(weights), components
+        taus.append(tau)
+    return np.array(weights), components, taus
+
+
+def oracle(taus, components):
+    """Why a returned component is no density within ``SPLIT_TOL``, or None:
+    its tau must be Hermitian and of unit trace, and the component's
+    smallest eigenvalue at least ``-SPLIT_TOL``."""
+    tol = strata.SPLIT_TOL
+    for k, (tau, h) in enumerate(zip(taus, components)):
+        if not np.max(np.abs(tau - tau.conj().T)) <= tol:
+            return f"component {k} not Hermitian"
+        if not abs(np.trace(tau) - 1.0) <= tol:
+            return f"component {k} trace"
+        if not np.linalg.eigvalsh(h)[0] >= -tol:
+            return f"component {k} not positive"
+    return None
 
 
 def layout(a: np.ndarray) -> tuple:
@@ -129,14 +153,14 @@ def _name(outcome) -> str:
 
 def compare(rho) -> tuple:
     """Whether the reference raised on rho, and why ``convex_split(rho)``
-    differs from it, or None."""
+    differs from it or fails the oracle, or None."""
     want = _split(reference_split, rho)
     got = _split(strata.convex_split, rho)
     if isinstance(want, type) or isinstance(got, type):
         if got is want:
             return isinstance(want, type), None
         return isinstance(want, type), f"{_name(got)} against {_name(want)}"
-    weights, components = want
+    weights, components, taus = want
     if got.weights.dtype != weights.dtype or got.weights.tobytes() != weights.tobytes():
         return False, "weights"
     if len(got.components) != len(components):
@@ -144,26 +168,27 @@ def compare(rho) -> tuple:
     for k, (comp, ref) in enumerate(zip(got.components, components)):
         if layout(comp.matrix) != layout(ref):
             return False, f"component {k}"
-    return False, None
+    return False, oracle(taus, components)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=20)
     args = parser.parse_args(argv)
-    failed, raised = [], 0
+    failed, raised = [], dict.fromkeys(KINDS, 0)
     todo = [(seed, n, mu, kind) for seed in range(args.seeds) for n, mu in SHAPES
             for kind in KINDS if kind != "tail" or mu < n]
     for seed, n, mu, kind in todo:
         was_raised, reason = compare(density(n, mu, kind, seed))
-        raised += was_raised
+        raised[kind] += was_raised
         if reason is not None:
             failed.append((seed, n, mu, kind, reason))
     for case in failed[:20]:
         print("mismatch: seed={} n={} mu={} kind={}: {}".format(*case))
     print(f"{len(todo)} splits, {args.seeds} seeds x {len(SHAPES)} shapes x {len(KINDS)} "
-          f"spectrum kinds (tail below full rank only), {raised} raised on both sides; "
-          f"{len(failed)} mismatches")
+          f"spectrum kinds (tail below full rank only), raised on both sides: "
+          + ", ".join(f"{kind} {count}" for kind, count in raised.items())
+          + f"; {len(failed)} mismatches")
     return 1 if failed else 0
 
 

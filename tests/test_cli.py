@@ -206,6 +206,20 @@ def test_exit_code_split_pure(run_cli):
     assert "AlreadyPure" in err
 
 
+def test_exit_code_split_near_pure(capsys):
+    # a valid qubit with 1 - lam_max = 1e-8: classify reads rank 2, and split
+    # refuses it up front as too near pure instead of blaming the input
+    u = sampling.random_unitary(2, 14800).matrix
+    text = docs.dumps(docs.matrix_document(
+        core.validate_density((u * np.array([1 - 1e-8, 1e-8])) @ u.conj().T)))
+    rc, out = call_main(["split"], text)
+    assert (rc, out) == (4, "")
+    assert capsys.readouterr().err.startswith("error: DegenerateTotalWeight: 1 - lam_max = ")
+    rc, out = call_main(["classify"], text)
+    assert rc == 0
+    assert json.loads(out)["results"]["mu"] == 2
+
+
 def test_exit_code_bloch_outside_ball(run_cli):
     # huge coordinates must not overflow the norm into a traceback
     for coords in (["1.0", "0.1", "0.0"], ["1e308", "1e308", "0"]):

@@ -6,10 +6,16 @@ clear of its cut.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dmgeo import core, purification as pf, sampling, strata
-from dmgeo.errors import AlreadyPureError, DegenerateTotalWeightError
+from dmgeo.errors import (
+    AlreadyPureError,
+    DegenerateTotalWeightError,
+    NumericalError,
+    PreconditionError,
+)
 
 # multiples of a cut: on it, just either side of it, and well clear of it
 _NEAR = st.sampled_from([0.0, 0.5, 0.99, 1.0, 1.01, 2.0])
@@ -79,6 +85,60 @@ def test_convex_split_weights_and_reconstruction_near_tie():
     lam = np.array([0.4 + 0.25e-10, 0.4 - 0.25e-10, 0.2])
     u = sampling.random_unitary(3, 1).matrix
     _check_split(core.validate_density((u * lam) @ u.conj().T))
+
+
+@st.composite
+def near_pure_spectra(draw):
+    """Density conjugated by a random unitary: 1 - lam_max from 1e-2 down
+    past the rank cut, shared by up to n - 1 levels, and a tail that is
+    zero, +-1e-13, 1e-12 or -5e-11, half the parse tolerance."""
+    n = draw(st.integers(2, 6))
+    mu = draw(st.integers(2, n))
+    rest = 10.0 ** -draw(st.floats(2.0, 9.5))
+    shares = np.array([draw(st.integers(1, 4)) for _ in range(mu - 1)], dtype=float)
+    tail = [draw(st.sampled_from([0.0, 1e-13, -1e-13, 1e-12, -5e-11])) for _ in range(n - mu)]
+    lam = np.concatenate([[1.0 - rest], rest * shares / shares.sum(), tail])
+    u = sampling.random_unitary(n, draw(st.integers(0, 2**32 - 1))).matrix
+    m = (u * lam) @ u.conj().T
+    return core.validate_density(m / np.trace(m).real)
+
+
+def _check_no_validation_error(rho):
+    # every operation on a density that validate_density accepted returns
+    # or refuses it by precondition or numerics; a ValidationError, or any
+    # other exception, escapes and fails the test
+    operations = [
+        strata.classify,
+        pf.purify,
+        lambda rho: pf.schmidt(pf.purify(rho)),
+        strata.convex_split,
+        strata.tangent_space_rank,
+        lambda rho: pf.partial_trace_b(pf.purify(rho)),
+    ]
+    if rho.n == 2:
+        operations.append(strata.bloch_vector)
+    for operation in operations:
+        try:
+            operation(rho)
+        except (PreconditionError, NumericalError):
+            pass
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(near_pure_spectra(), *(tailed_spectra(cut) for cut in _CUTS)))
+def test_no_operation_blames_a_valid_density(rho):
+    _check_no_validation_error(rho)
+
+
+# a valid near-pure qubit that convex_split used to build and then fail
+# with TraceNotOne; it is refused up front as too near pure
+def test_no_operation_blames_the_near_pure_qubit():
+    u = sampling.random_unitary(2, 14800).matrix
+    rho = core.validate_density((u * np.array([1 - 1e-8, 1e-8])) @ u.conj().T)
+    _check_no_validation_error(rho)
+    assert strata.classify(rho).mu == 2
+    with pytest.raises(DegenerateTotalWeightError, match="1 - lam_max = "):
+        strata.convex_split(rho)
 
 
 @st.composite

@@ -10,7 +10,6 @@ from dmgeo.errors import (
     AmbiguousRankError,
     DegenerateTotalWeightError,
     DimensionNotTwoError,
-    DmgeoError,
     NonGenericSpectrumError,
     NotFiniteError,
     NotHermitianError,
@@ -19,7 +18,7 @@ from dmgeo.errors import (
     RankOutOfRangeError,
     TraceNotOneError,
 )
-from split_sweep import density as sweep_density, layout as sweep_layout
+from split_sweep import density as sweep_density, layout as sweep_layout, oracle as sweep_oracle
 from split_sweep import reference_split as sweep_reference_split
 
 
@@ -537,7 +536,7 @@ def test_convex_split_rejects_pure():
 def reference_split(rho, tol=core.RANK_TOL):
     # reference split: every component built as in convex_split, with the
     # tail below the cut shared out as mu equal parts, then passed through
-    # the full validate_density, one eigvalsh per component
+    # the full validate_density at SPLIT_TOL, one eigh per component
     dec = core.spectral_decompose(rho)
     mu = core.numerical_rank(dec.eigenvalues, tol)
     if mu < 2:
@@ -550,13 +549,17 @@ def reference_split(rho, tol=core.RANK_TOL):
     weights, components = [], []
     for k in range(mu):
         lam_k = dec.eigenvalues[k]
-        if 1.0 - lam_k <= tol:
-            raise DegenerateTotalWeightError(lam_k)
         p_k = np.outer(dec.eigenvectors[:, k], dec.eigenvectors[:, k].conj())
         tau = (rho.matrix - share - lam_k * p_k) / (1.0 - lam_k - t / mu)
         weights.append((1.0 - lam_k - t / mu) / (mu - 1))
-        components.append(core.validate_density(tau, tol=1e-8).matrix)
+        components.append(core.validate_density(tau, tol=strata.SPLIT_TOL).matrix)
     return np.array(weights), components
+
+
+def split_refused(lam):
+    # convex_split's up-front rule on the descending spectrum lam
+    margin = np.finfo(float).eps * strata.SPLIT_ERROR_MARGIN
+    return not strata.SPLIT_TOL * (1.0 - lam[0]) >= max(margin, -lam[-1])
 
 
 @st.composite
@@ -567,8 +570,8 @@ def split_spectra(draw):
     head = np.array([draw(st.sampled_from(levels)) for _ in range(mu)])
     head /= head.sum()
     if draw(st.booleans()):
-        # near-pure: 1 - lam_max on both sides of where rounding amplified
-        # by 1 / (1 - lam_max) reaches the 1e-8 component tolerance
+        # near-pure: 1 - lam_max on both sides of 7.1e-7, where the rule
+        # starts to refuse, and down past the rank cut
         rest = 10.0 ** -draw(st.floats(2.0, 9.5))
         head[1:] *= rest / head[1:].sum()
         head[0] = 1.0 - rest
@@ -582,17 +585,23 @@ def split_spectra(draw):
 @settings(max_examples=200, deadline=None)
 @given(split_spectra())
 def test_convex_split_bitwise_equals_revalidated_reference(case):
+    # a valid rho is refused only up front, by rank or by the rule on its
+    # spectrum; every split it returns equals, bit for bit, components that
+    # each pass validate_density at SPLIT_TOL
     lam, seed = case
     u = sampling.random_unitary(lam.size, seed).matrix
     m = (u * lam) @ u.conj().T
     rho = core.validate_density(m / np.trace(m).real)
+    spectrum = core.spectral_decompose(rho).eigenvalues
     try:
-        weights, components = reference_split(rho)
-    except DmgeoError as exc:
-        with pytest.raises(type(exc)):
-            strata.convex_split(rho)
+        split = strata.convex_split(rho)
+    except (AlreadyPureError, DegenerateTotalWeightError) as exc:
+        pure = core.numerical_rank(spectrum) < 2
+        assert type(exc) is (AlreadyPureError if pure else DegenerateTotalWeightError)
+        assert pure or split_refused(spectrum)
         return
-    split = strata.convex_split(rho)
+    assert not split_refused(spectrum)
+    weights, components = reference_split(rho)
     assert np.array_equal(split.weights, weights)
     assert len(split.components) == len(components)
     for comp, ref in zip(split.components, components):
@@ -602,13 +611,10 @@ def test_convex_split_bitwise_equals_revalidated_reference(case):
 def separate_components(rho):
     # reference: each component in its own buffers, built as convex_split
     # built them before they shared one block: np.outer, times lam_k,
-    # shared minus it, the real division, then _symmetrized_density, or the
-    # full validate_density where the spectrum is not trusted
+    # shared minus it, the real division, then _symmetrized_density
     dec = core.spectral_decompose(rho)
     lam = dec.eigenvalues
     mu = core.numerical_rank(lam)
-    trusted = rho.n * np.finfo(float).eps * strata.SPLIT_ERROR_MARGIN <= (
-        strata.SPLIT_TOL * (1.0 - lam[0]))
     below = dec.eigenvectors[:, mu:]
     shared = rho.matrix - (below * (lam[mu:] / mu)) @ below.conj().T
     t = lam[mu:].sum()
@@ -617,11 +623,8 @@ def separate_components(rho):
         tau = np.outer(dec.eigenvectors[:, k], dec.eigenvectors[:, k].conj())
         tau = shared - np.multiply(lam[k], tau)
         core._divide_real(tau, 1.0 - lam[k] - t / mu)
-        if trusted:
-            components.append(core._symmetrized_density(tau).matrix)
-        else:
-            components.append(core.validate_density(tau, tol=strata.SPLIT_TOL).matrix)
-    return trusted, components
+        components.append(core._symmetrized_density(tau).matrix)
+    return components
 
 
 def layout(a):
@@ -629,7 +632,8 @@ def layout(a):
             a.flags.writeable, a.tobytes())
 
 
-@pytest.mark.parametrize("lam, diagonal, trusted", [
+# 1 - lam_max = 1e-7 is refused up front; 2e-6 is built like any split
+@pytest.mark.parametrize("lam, diagonal, returns", [
     ([0.5, 0.3, 0.15, 0.05], False, True),
     ([1 - 1e-7, 6e-8, 4e-8], False, False),
     ([0.5, 0.3, 0.2 - 2e-12, 1e-12, 1e-12, -1e-13], False, True),
@@ -638,8 +642,10 @@ def layout(a):
     ([0.5, 0.3, 0.2, 0.0, 0.0], True, True),
     ([0.2, 0.5, 0.0, 0.3], True, True),
     ([1 - 1e-7, 1e-7], True, False),
+    ([1 - 2e-6, 1.2e-6, 8e-7], False, True),
+    ([1 - 2e-6, 2e-6], True, True),
 ])
-def test_convex_split_components_equal_separate_buffers(lam, diagonal, trusted):
+def test_convex_split_components_equal_separate_buffers(lam, diagonal, returns):
     lam = np.array(lam)
     if diagonal:
         m = np.diag(lam).astype(complex)
@@ -647,8 +653,11 @@ def test_convex_split_components_equal_separate_buffers(lam, diagonal, trusted):
         u = sampling.random_unitary(lam.size, 1801).matrix
         m = (u * lam) @ u.conj().T
     rho = core.validate_density(m)
-    was_trusted, refs = separate_components(rho)
-    assert was_trusted == trusted
+    if not returns:
+        with pytest.raises(DegenerateTotalWeightError, match="1 - lam_max = "):
+            strata.convex_split(rho)
+        return
+    refs = separate_components(rho)
     split = strata.convex_split(rho)
     assert len(split.components) == len(refs)
     for comp, ref in zip(split.components, refs):
@@ -672,12 +681,13 @@ def test_convex_split_bytes_equal_plain_reference_at_workload_sizes(n, mu, kind)
     assert core.numerical_rank(lam) == mu
     if kind == "tail":
         assert lam[mu:].sum() > 1e-13
-    weights, components = sweep_reference_split(rho)
+    weights, components, taus = sweep_reference_split(rho)
     split = strata.convex_split(rho)
     assert split.weights.dtype == weights.dtype
     assert split.weights.tobytes() == weights.tobytes()
     assert [sweep_layout(c.matrix) for c in split.components] == [
         sweep_layout(c) for c in components]
+    assert sweep_oracle(taus, components) is None
 
 
 def test_convex_split_components_share_one_read_only_block():
@@ -697,12 +707,19 @@ def test_convex_split_components_share_one_read_only_block():
 
 def test_convex_split_positivity_checked_on_spectrum():
     # valid at the parse tolerance, but component 0 = (rho - lam_0 P_0) / 1e-6
-    # carries the -5e-11 eigenvalue as -5e-5
+    # would carry the -5e-11 eigenvalue as -5e-5: the rule refuses rho before
+    # building it; a -5e-15 tail, within SPLIT_TOL * 1e-6, splits
     rho = diag_density(1 - 1e-6 + 5e-11, 1e-6, -5e-11)
     with pytest.raises(NotPositiveError):
         reference_split(rho)
-    with pytest.raises(NotPositiveError):
+    with pytest.raises(DegenerateTotalWeightError):
         strata.convex_split(rho)
+    rho = diag_density(1 - 1e-6 + 5e-15, 1e-6, -5e-15)
+    weights, components = reference_split(rho)
+    split = strata.convex_split(rho)
+    assert np.array_equal(split.weights, weights)
+    for comp, ref in zip(split.components, components):
+        assert np.array_equal(comp.matrix, ref)
 
 
 def test_convex_split_hermitian_and_trace_checked_on_rho():
@@ -717,7 +734,7 @@ def test_convex_split_hermitian_and_trace_checked_on_rho():
 
 def test_convex_split_runs_one_eigh_and_no_eigvalsh(monkeypatch):
     rho = core.DensityMatrix(sampling.random_density(5, 4, 21).matrix)
-    near_pure = core.DensityMatrix(diag_density(1 - 1e-7, 1e-7).matrix)
+    near_pure = core.DensityMatrix(diag_density(1 - 2e-6, 2e-6).matrix)
     calls = {"eigh": 0, "eigvalsh": 0}
 
     def counting(name, fn):
@@ -730,11 +747,14 @@ def test_convex_split_runs_one_eigh_and_no_eigvalsh(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     strata.convex_split(rho)
     assert calls == {"eigh": 1, "eigvalsh": 0}
-    # near-pure input validates each of its two components in full: rho's
-    # eigh plus one eigh per component, kept with the component
+    # near-pure input is split, or refused, on rho's eigh alone
     calls.update(eigh=0, eigvalsh=0)
     strata.convex_split(near_pure)
-    assert calls == {"eigh": 3, "eigvalsh": 0}
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+    calls.update(eigh=0, eigvalsh=0)
+    with pytest.raises(DegenerateTotalWeightError):
+        strata.convex_split(core.DensityMatrix(np.diag([1 - 1e-7, 1e-7])))
+    assert calls == {"eigh": 1, "eigvalsh": 0}
 
 
 def test_bloch_vector_examples():
