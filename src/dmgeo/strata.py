@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 
@@ -128,52 +128,38 @@ def classify(rho: DensityMatrix, tol: float = RANK_TOL) -> StratumInfo:
     )
 
 
-#: per-n layout tables are kept between calls up to this n; larger sizes,
-#: whose tangent table grows as n^3 (50.7 MiB at n = 64), build them per call
+#: the tangent table is kept between calls up to this n; larger sizes,
+#: whose table grows as n^3 (62.5 MiB at n = 64), build it per call
 TABLE_CACHE_MAX_N = 16
 
 
-def _small_n_cache(build):
-    """Cache ``build(n)`` for n up to ``TABLE_CACHE_MAX_N`` and call it
-    afresh above; the tables of every size up to 16 take 3.2 MiB."""
-    cached = lru_cache(maxsize=None)(build)
-
-    @wraps(build)
-    def tables(n: int) -> tuple:
-        return cached(n) if n <= TABLE_CACHE_MAX_N else build(n)
-
-    tables.cache_clear = cached.cache_clear
-    tables.cache_info = cached.cache_info
-    return tables
-
-
-@_small_n_cache
-def _triangle(n: int) -> tuple:
-    """Read-only indices ``(i, j)`` of the strict upper triangle of an
-    n x n matrix, i < j in row-major order, built once per n."""
-    i, j = np.triu_indices(n, k=1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
-
-
-@_small_n_cache
+@lru_cache(maxsize=None)
 def _tangent_table(n: int) -> tuple:
-    """Read-only gather table of the size-n tangent stack, built once per n.
+    """Read-only gather table of the size-n tangent stack.
 
     Entry e of ``(dest, p, q, alpha, beta, c)`` says that the flattened
     stack holds ``c * (alpha * x[p] - beta * x[q])`` at flat index
     ``dest``, where x is rho's real view ``[Re rho_00, Im rho_00, Re
-    rho_01, ..., 0.0]``.  Over all entries that is flatten(i[H_k, rho])
-    for the traceless Hermitian basis H_k (for each pair i < j in row-major
-    order the symmetric and then the antisymmetric off-diagonal matrix,
-    then diag(1, .., 1, -k, 0, ..) for k = 1 .. n - 1), rounded as the
-    matrix products round it: the entry D_ab = (H rho)_ab - (rho H)_ab,
-    whose terms are exact but for one rounding of a diagonal weight times
+    rho_01, ..., 0.0]`` followed by the real views of the projectors P_0,
+    P_1, ... onto rho's eigenvectors.  A Hermitian matrix flattens to its
+    diagonal reals, then sqrt(2) times the real and then the imaginary
+    parts of its upper triangle, so that the Euclidean inner product is
+    the Hilbert-Schmidt one.
+
+    The first entries give flatten(i[H_k, rho]) for the traceless
+    Hermitian basis H_k (for each pair i < j in row-major order the
+    symmetric and then the antisymmetric off-diagonal matrix, then
+    diag(1, .., 1, -k, 0, ..) for k = 1 .. n - 1), rounded as the matrix
+    products round it: the entry D_ab = (H rho)_ab - (rho H)_ab, whose
+    terms are exact but for one rounding of a diagonal weight times
     rho_ab, then the factor i (Re C = -Im D, Im C = Re D), then the
     sqrt(2) of the flatten.  Entries that are zero for every rho are left
-    out, so the table holds O(n^3) entries.
+    out, so these number O(n^3).  The last (n - 1) n^2 entries give the
+    projector rows flatten(P_m - P_{m+1}), m = 0 .. n - 2, row after row,
+    as ``c * (x[p] - x[q])``; a rank-mu stack reads all but the last
+    (n - mu) n^2 entries.
     """
-    i, j = _triangle(n)
+    i, j = np.triu_indices(n, k=1)
     # row k - 1 holds the diagonal of the k-th diagonal basis matrix
     diag = np.tri(n - 1, n)
     diag[np.arange(n - 1), np.arange(1, n)] = -np.arange(1, n)
@@ -214,6 +200,13 @@ def _tangent_table(n: int) -> tuple:
     re_c_col, im_c_col = np.where(on_diag, a, col), col + pairs
     re_c_scale = np.where(on_diag, -1.0, -sqrt2)
     ones, im_c_scale, d_scale = np.ones(t.size), np.full(t.size, sqrt2), np.full(u.size, sqrt2)
+    # projector row m takes column e of its flatten from the same real or
+    # imaginary part of P_m at p and of P_{m+1} at q, scaled by 1 on the
+    # diagonal and sqrt(2) above it; the projectors' views follow the zero
+    reads = np.concatenate([2 * k * (n + 1), 2 * (i * n + j), 2 * (i * n + j) + 1])
+    proj_p = (zero + 1 + 2 * nn * np.arange(n - 1)[:, None] + reads).ravel()
+    proj_ones = np.ones(proj_p.size)
+    proj_scale = np.tile(np.repeat([1.0, sqrt2], [n, nn - n]), n - 1)
     parts = [
         ((sym_row + re_c_col, x_im, y_im, ones, ones, re_c_scale), ...),
         ((anti_row + re_c_col, x_re, y_re, s_x, s_y, re_c_scale), ...),
@@ -221,24 +214,13 @@ def _tangent_table(n: int) -> tuple:
         ((anti_row + im_c_col, x_im, y_im, -s_x, -s_y, im_c_scale), above),
         ((diag_row + n + u, d_re + 1, d_re + 1, da, db, -d_scale), ...),
         ((diag_row + n + pairs + u, d_re, d_re, da, db, d_scale), ...),
+        (((nn - 1) * nn + np.arange(proj_p.size), proj_p, proj_p + 2 * nn,
+          proj_ones, proj_ones, proj_scale), ...),
     ]
     table = tuple(np.concatenate([part[f][sel] for part, sel in parts]) for f in range(6))
     for v in table:
         v.flags.writeable = False
     return table
-
-
-def flatten_hermitian(h: np.ndarray) -> np.ndarray:
-    """Independent real parameters of a Hermitian matrix as a length-n^2 vector.
-
-    Layout: diagonal reals, then sqrt(2) * real and sqrt(2) * imaginary parts
-    of the upper triangle, making the Euclidean inner product match the
-    Hilbert-Schmidt one.  A ``(..., n, n)`` stack flattens matrix by matrix.
-    """
-    i, j = _triangle(h.shape[-1])
-    upper = h[..., i, j]
-    off = np.sqrt(2.0) * np.concatenate([upper.real, upper.imag], axis=-1)
-    return np.concatenate([h.diagonal(axis1=-2, axis2=-1).real, off], axis=-1)
 
 
 def tangent_space_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
@@ -265,10 +247,11 @@ def tangent_space_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
     least 1, or a tiny one): no stratum has dimension 0 or the stack's
     full size.
 
-    The commutator rows are gathered from rho's entries through a table
-    built once per n (O(n^3) entries), so a call builds no basis matrix
-    and allocates one real ``(n^2 + mu - 2, n^2)`` stack plus O(n^3)
-    gather buffers.
+    Every row is gathered through one table per n (O(n^3) entries): the
+    commutator rows from rho's entries, the projector rows from the
+    projectors' entries.  So a call builds no basis matrix and allocates
+    one real ``(n^2 + mu - 2, n^2)`` stack plus O(n^3) gather buffers, in
+    one gather and one scatter.
     """
     dec = spectral_decompose(rho)
     mu = numerical_rank(dec.eigenvalues, RANK_TOL)
@@ -291,14 +274,14 @@ def tangent_space_rank(rho: DensityMatrix, tol: float = RANK_TOL) -> int:
         )
 
     nn = n * n
-    dest, p, q, alpha, beta, c = _tangent_table(n)
-    x = np.concatenate((rho.matrix.ravel().view(np.float64), _ZERO))
-    values = c * (alpha * x[p] - beta * x[q])
-    stack = np.zeros((nn + mu - 2, nn))
-    stack.ravel()[dest] = values
+    table = _tangent_table(n) if n <= TABLE_CACHE_MAX_N else _tangent_table.__wrapped__(n)
+    dest, p, q, alpha, beta, c = (v[: v.size - (n - mu) * nn] for v in table)
     vecs = dec.eigenvectors[:, :mu].T
     projectors = vecs[:, :, None] * vecs.conj()[:, None, :]
-    stack[nn - 1 :] = flatten_hermitian(projectors[:-1] - projectors[1:])
+    x = np.concatenate((rho.matrix.ravel().view(np.float64), _ZERO,
+                        projectors.ravel().view(np.float64)))
+    stack = np.zeros((nn + mu - 2, nn))
+    stack.ravel()[dest] = c * (alpha * x[p] - beta * x[q])
     if not stack.size:
         return 0
 

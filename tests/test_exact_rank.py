@@ -5,8 +5,8 @@ U = (I - iH)(I + iH)^-1 is unitary over Q(i), so rho = U diag(lam) U^H
 with rational lam is an exact density matrix whose eigenvectors are U's
 columns.  The tangent stack (i[H_k, rho] over the traceless Hermitian
 basis, then P_k - P_{k+1}) is built with ``fractions.Fraction`` and its
-rank found by elimination.  ``flatten_hermitian``'s sqrt(2) scales columns
-only, which leaves the rank unchanged, so it is left out.
+rank found by elimination.  The flatten's sqrt(2) scales columns only,
+which leaves the rank unchanged, so it is left out.
 """
 
 import math

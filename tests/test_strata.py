@@ -302,8 +302,8 @@ def loop_basis(n):
 
 
 def traceless_hermitian_basis(n):
-    # the loop_basis matrices in one stack, from the cached triangle indices
-    i, j = strata._triangle(n)
+    # the loop_basis matrices in one stack
+    i, j = np.triu_indices(n, k=1)
     sym = 2 * np.arange(i.size)
     basis = np.zeros((n * n - 1, n, n), dtype=complex)
     basis[sym, i, j] = basis[sym, j, i] = 1.0
@@ -364,6 +364,10 @@ def test_tangent_stack_bitwise_equals_loop_reference(monkeypatch):
     for n in range(2, 9):
         for mu in range(1, n + 1):
             check(sampling.random_generic_density(n, mu, 7000 + 10 * n + mu))
+    # above the cache bound the table is built per call
+    n = strata.TABLE_CACHE_MAX_N + 1
+    for mu in (2, n):
+        check(sampling.random_generic_density(n, mu, 7000 + 10 * n + mu))
     # non-Hermitian input as parse_matrix_document accepts it: a table that
     # read rho_ba as conj(rho_ab) would pass the loop above
     rng = np.random.default_rng(7100)
@@ -405,18 +409,6 @@ def test_traceless_hermitian_basis_is_orthogonal_basis():
             assert got.tobytes() == ref.tobytes()
 
 
-def test_flatten_hermitian_stack_equals_slices():
-    rng = np.random.default_rng(11)
-    for n in range(1, 6):
-        a = rng.standard_normal((3, 4, n, n)) + 1j * rng.standard_normal((3, 4, n, n))
-        h = a + a.conj().swapaxes(-1, -2)
-        flat = strata.flatten_hermitian(h)
-        assert flat.shape == (3, 4, n * n)
-        for idx in np.ndindex(3, 4):
-            one = strata.flatten_hermitian(h[idx])
-            assert flat[idx].tobytes() == one.tobytes() == loop_flatten(h[idx]).tobytes()
-
-
 def test_triangle_tables_built_once_per_size(monkeypatch):
     calls = []
     triu_indices = np.triu_indices
@@ -426,44 +418,51 @@ def test_triangle_tables_built_once_per_size(monkeypatch):
         return triu_indices(n, *args, **kwargs)
 
     monkeypatch.setattr(np, "triu_indices", counting)
-    strata._triangle.cache_clear()
+    strata._tangent_table.cache_clear()
     sizes = (1, 2, 3, 5)
     for _ in range(3):
         for n in sizes:
             rho = sampling.random_generic_density(n, n, 100 + n)
             assert strata.tangent_space_rank(rho) == strata.stratum_dimension(n, n)
-            strata.flatten_hermitian(rho.matrix)
-            traceless_hermitian_basis(n)
     assert sorted(calls) == list(sizes)
 
 
 def test_triangle_tables_read_only():
     for n in (1, 2, 5):
-        for table in strata._triangle(n) + strata._tangent_table(n):
+        for table in strata._tangent_table(n):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[...] = 0
 
 
-def test_tables_above_cache_bound_are_built_per_call():
+def test_tables_above_cache_bound_are_built_per_call(monkeypatch):
     n = strata.TABLE_CACHE_MAX_N + 1
     rho = sampling.random_generic_density(n, 2, 1702)
+    below = sampling.random_generic_density(n - 1, 2, 1602)
+    assert strata.tangent_space_rank(below) == strata.stratum_dimension(n - 1, 2)
+    size = strata._tangent_table.cache_info().currsize
+    calls = []
+    triu_indices = np.triu_indices
+
+    def counting(m, *args, **kwargs):
+        calls.append(m)
+        return triu_indices(m, *args, **kwargs)
+
+    monkeypatch.setattr(np, "triu_indices", counting)
     assert strata.tangent_space_rank(rho) == strata.stratum_dimension(n, 2)
-    sizes = strata._triangle.cache_info().currsize, strata._tangent_table.cache_info().currsize
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
         assert strata.tangent_space_rank(rho) == strata.stratum_dimension(n, 2)
-        strata.flatten_hermitian(rho.matrix)
+        assert strata.tangent_space_rank(below) == strata.stratum_dimension(n - 1, 2)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # the n = 17 tangent table alone holds 0.9 MiB
+    # the n = 17 tangent table alone holds 1.1 MiB
     assert retained < 64 * 1024
-    assert (strata._triangle.cache_info().currsize,
-            strata._tangent_table.cache_info().currsize) == sizes
-    assert strata._triangle(n)[0] is not strata._triangle(n)[0]
-    assert strata._triangle(n - 1)[0] is strata._triangle(n - 1)[0]
+    assert strata._tangent_table.cache_info().currsize == size
+    # each call at n builds its table; the one at n - 1 reads the kept one
+    assert calls == [n, n]
 
 
 def test_mutated_basis_leaves_later_calls_unchanged():
@@ -478,9 +477,9 @@ def test_mutated_basis_leaves_later_calls_unchanged():
 
 
 def test_one_level_tangent_rank_and_flatten():
-    # n = 1: the triangle, the basis and the tangent stack are all empty
+    # n = 1: the basis, the projector rows and the tangent stack are all empty
     assert strata.tangent_space_rank(diag_density(1.0)) == 0 == strata.stratum_dimension(1, 1)
-    assert strata.flatten_hermitian(np.zeros((0, 1, 1), dtype=complex)).shape == (0, 1)
+    assert all(v.size == 0 for v in strata._tangent_table(1))
 
 
 def test_convex_split_maximally_mixed():
