@@ -18,12 +18,12 @@ import numpy as np
 
 from .core import (
     RANK_TOL,
+    VALIDATION_TOL,
     DensityMatrix,
     Unitary,
     _divide_real,
     _lapack,
     _symmetrized_density,
-    check_hermitian_unit_trace,
     check_rank_range,
     numerical_rank,
     spectral_decompose,
@@ -53,12 +53,10 @@ GAP_RATIO = 1e6
 _ZERO = np.zeros(1)
 _ZERO.flags.writeable = False
 
-#: validation tolerance that every convex-split component meets
-SPLIT_TOL = 1e-8
-
 #: factor on eps that bounds a convex-split component's rounding times
 #: 1 - lam_max (9.3 at worst, measured over n = 2..64); convex_split refuses
-#: rho whose SPLIT_TOL * (1 - lam_max) falls below eps times this factor
+#: rho whose VALIDATION_TOL * (1 - lam_max) falls below eps times this
+#: factor, that is every 1 - lam_max below 7.1e-5
 SPLIT_ERROR_MARGIN = 32
 
 
@@ -310,12 +308,13 @@ def convex_split(rho: DensityMatrix, tol: float = RANK_TOL) -> ConvexSplit:
     k-th eigendirection, weights are positive and sum to one.
 
     Components are built from the spectrum and are not re-validated.  The
-    division by 1 - lam_k scales rho's deviations, its negative tail and
-    the rounding of the build, so the split is decided up front: unless
-    ``SPLIT_TOL * (1 - lam_max) >= max(eps * SPLIT_ERROR_MARGIN, -lam_min)``
-    it raises :class:`DegenerateTotalWeightError`.  Then rho is checked
-    once for Hermiticity and trace at ``SPLIT_TOL * (1 - lam_max)``, and
-    every component is a density within ``SPLIT_TOL``.
+    division by 1 - lam_k scales the rounding of the build, rho's negative
+    tail and its Hermitian and trace deviations, so the split is decided
+    up front by one rule: unless ``VALIDATION_TOL * (1 - lam_max) >=
+    max(eps * SPLIT_ERROR_MARGIN, (1 - 1/mu) * -lam_min, n/2 * max|rho -
+    rho^dag|, |tr rho - 1|)`` it raises :class:`DegenerateTotalWeightError`,
+    which refuses every 1 - lam_max below 7.1e-5.  Every component it
+    returns is a density document that the reader accepts.
 
     The components are read-only slices of one ``(mu, n, n)`` block, so
     keeping one keeps the block (mu * n^2 * 16 bytes).  That changes no
@@ -328,24 +327,29 @@ def convex_split(rho: DensityMatrix, tol: float = RANK_TOL) -> ConvexSplit:
     mu = numerical_rank(lam, tol)
     if mu < 2:
         raise AlreadyPureError("rank 1 cannot be lowered")
-    # component k has eigenvalues lam_j / (1 - lam_k), j != k, plus a zero,
-    # and inherits rho's Hermitian and trace deviations and its own rounding
+    # component k has eigenvalues lam_j / (1 - lam_k), j != k, plus a zero;
+    # it inherits its own rounding, the tail shared out as (1 - 1/mu) lam_j,
+    # the triangle eigh did not read (whose symmetrized part has norm at
+    # most n/2 times the largest skew entry) and the trace deviation, each
     # divided by 1 - lam_k; the descending order makes k = 0 the worst case
-    scale = 1.0 - float(lam[0])
-    if not SPLIT_TOL * scale >= max(np.finfo(float).eps * SPLIT_ERROR_MARGIN, -float(lam[-1])):
+    n, m = rho.n, rho.matrix
+    scale, lam_min = 1.0 - float(lam[0]), float(lam[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        skew, drift = float(np.max(np.abs(m - m.conj().T))), abs(complex(np.trace(m)) - 1.0)
+    bound = max(np.finfo(float).eps * SPLIT_ERROR_MARGIN, (1 - 1 / mu) * -lam_min,
+                n / 2 * skew, drift)
+    if not VALIDATION_TOL * scale >= bound:
         raise DegenerateTotalWeightError(
-            f"1 - lam_max = {scale!r} is too near 0 to split within SPLIT_TOL "
-            f"(lam_min = {float(lam[-1])!r})"
+            f"1 - lam_max = {scale!r} is too near 0 to split within VALIDATION_TOL "
+            f"(lam_min = {lam_min!r}, max |rho - rho^dag| = {skew!r}, |tr rho - 1| = {drift!r})"
         )
-    check_hermitian_unit_trace(rho.matrix, SPLIT_TOL * scale)
     # at full rank T is an exact +0.0, and subtracting it keeps every bit
     vectors = dec.eigenvectors
     below = vectors[:, mu:]
-    shared = rho.matrix - (below * (lam[mu:] / mu)) @ below.conj().T
+    shared = m - (below * (lam[mu:] / mu)) @ below.conj().T
     t = lam[mu:].sum()
     totals = 1.0 - lam[:mu] - t / mu
     rows = vectors[:, :mu].T
-    n = rho.n
     block = np.empty((mu, n, n), dtype=complex)
     tau = np.empty((n, n), dtype=complex)
     components = []
@@ -378,7 +382,7 @@ def density_from_bloch(r: BlochVector) -> DensityMatrix:
         raise NotFiniteError(f"Bloch coordinates {coords}")
     # a coordinate above 2 is outside the ball; testing it first keeps the
     # squared norm from overflowing for huge coordinates
-    if max(map(abs, coords)) > 2.0 or r.x**2 + r.y**2 + r.z**2 > 1.0 + 1e-10:
+    if max(map(abs, coords)) > 2.0 or r.x**2 + r.y**2 + r.z**2 > 1.0 + VALIDATION_TOL:
         raise OutsideBallError(f"|r| = {math.hypot(*coords)!r}")
     m = 0.5 * (np.eye(2, dtype=complex) + r.x * SIGMA_X + r.y * SIGMA_Y + r.z * SIGMA_Z)
     return DensityMatrix(m)

@@ -220,6 +220,23 @@ def test_exit_code_split_near_pure(capsys):
     assert json.loads(out)["results"]["mu"] == 2
 
 
+def test_exit_code_split_skewed_near_pure(capsys):
+    # a document the reader accepts: lam = (1 - 1e-5, 6e-6, 3e-6, 1e-6)
+    # rotated, plus 5e-13 on the strict upper triangle; classify reads rank
+    # 4, and split refuses it up front as too near pure (exit 4) instead of
+    # blaming the input with NotHermitian (exit 3)
+    u = sampling.random_unitary(4, 7).matrix
+    m = (u * np.array([1 - 1e-5, 6e-6, 3e-6, 1e-6])) @ u.conj().T
+    text = docs.dumps(core.DensityMatrix(m + np.triu(np.full((4, 4), 5e-13), 1)))
+    docs.parse_matrix_document(text, "density")
+    rc, out = call_main(["split"], text)
+    assert (rc, out) == (4, "")
+    assert capsys.readouterr().err.startswith("error: DegenerateTotalWeight: 1 - lam_max = ")
+    rc, out = call_main(["classify"], text)
+    assert rc == 0
+    assert json.loads(out)["results"]["mu"] == 4
+
+
 def test_exit_code_bloch_outside_ball(run_cli):
     # huge coordinates must not overflow the norm into a traceback
     for coords in (["1.0", "0.1", "0.0"], ["1e308", "1e308", "0"]):

@@ -7,15 +7,16 @@ clear of its cut.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from dmgeo import core, purification as pf, sampling, strata
+from dmgeo import core, documents, purification as pf, sampling, strata
 from dmgeo.errors import (
     AlreadyPureError,
     DegenerateTotalWeightError,
     NumericalError,
     PreconditionError,
 )
+from split_sweep import adversarial, oracle, skewed
 
 # multiples of a cut: on it, just either side of it, and well clear of it
 _NEAR = st.sampled_from([0.0, 0.5, 0.99, 1.0, 1.01, 2.0])
@@ -103,8 +104,24 @@ def near_pure_spectra(draw):
     return core.validate_density(m / np.trace(m).real)
 
 
+@st.composite
+def parsed(draw, densities):
+    """A drawn density plus a strict upper triangle of deviations up to
+    ``HERMITIAN_TRACE_TOL``, read back as a document: validate_density
+    makes every drawn rho exactly Hermitian, and the reader does not."""
+    size = draw(st.sampled_from([0.0, 0.5, 0.99])) * documents.HERMITIAN_TRACE_TOL
+    return skewed(draw(densities), size, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+@st.composite
+def adversarial_documents(draw, densities):
+    """A drawn density skewed by ``adversarial`` with d from 0.99e-14 to
+    0.99e-12."""
+    return adversarial(draw(densities), 0.99e-12 * 10.0 ** -draw(st.floats(0.0, 2.0)))
+
+
 def _check_no_validation_error(rho):
-    # every operation on a density that validate_density accepted returns
+    # every operation on a density that the reader accepted returns
     # or refuses it by precondition or numerics; a ValidationError, or any
     # other exception, escapes and fails the test
     operations = [
@@ -125,9 +142,45 @@ def _check_no_validation_error(rho):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.one_of(near_pure_spectra(), *(tailed_spectra(cut) for cut in _CUTS)))
+@given(parsed(st.one_of(near_pure_spectra(), *(tailed_spectra(cut) for cut in _CUTS))))
 def test_no_operation_blames_a_valid_density(rho):
     _check_no_validation_error(rho)
+
+
+def _flat_density(lam):
+    """diag(lam) conjugated by the unitary DFT, whose columns, the
+    eigenvectors, have entries of equal modulus."""
+    n = len(lam)
+    f = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
+    return core.validate_density((f * np.asarray(lam)) @ f.conj().T)
+
+
+# n = 8 with 1 - lam_max = 2e-2 and d = 0.99e-12 against a flat top
+# eigenvector: E moves component 0's zero eigenvalue by -7 d / 2 / 2e-2,
+# -1.73e-10, so a rule without the n / 2 on max |rho - rho^dag| = d would
+# return a component the reader refuses
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(near_pure_spectra(), *(tailed_spectra(cut, min_rank=2) for cut in _CUTS),
+                 parsed(near_pure_spectra()), adversarial_documents(near_pure_spectra())))
+@example(adversarial(_flat_density([0.98] + [0.02 / 7] * 7), 0.99e-12))
+def test_convex_split_components_reparse_as_densities(rho):
+    # every component a split returns is a density document the reader
+    # accepts, so an emitted component re-parses in the next command
+    try:
+        split = strata.convex_split(rho)
+    except (AlreadyPureError, DegenerateTotalWeightError):
+        return
+    assert oracle(split.components) is None
+
+
+# the tail term weighs -lam_min by 1 - 1/mu, as the split shares it out:
+# here 1e-13 / 2 <= VALIDATION_TOL * 7e-4, where the unweighted 1e-13 is not
+def test_convex_split_weighs_the_shared_out_tail():
+    u = sampling.random_unitary(3, 5).matrix
+    lam = np.array([1 - 7e-4 + 1e-13, 7e-4, -1e-13])
+    rho = core.validate_density((u * lam) @ u.conj().T)
+    assert core.spectral_decompose(rho).eigenvalues[-1] < -1e-10 * 7e-4
+    assert oracle(strata.convex_split(rho).components) is None
 
 
 # a valid near-pure qubit that convex_split used to build and then fail

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from dmgeo.errors import (
     TraceNotOneError,
 )
 from split_sweep import density as sweep_density, layout as sweep_layout, oracle as sweep_oracle
-from split_sweep import reference_split as sweep_reference_split
+from split_sweep import reference_split as sweep_reference_split, refused as split_refused
 
 
 def diag_density(*values):
@@ -535,7 +536,8 @@ def test_convex_split_rejects_pure():
 def reference_split(rho, tol=core.RANK_TOL):
     # reference split: every component built as in convex_split, with the
     # tail below the cut shared out as mu equal parts, then passed through
-    # the full validate_density at SPLIT_TOL, one eigh per component
+    # the full validate_density at VALIDATION_TOL, the tolerance at which
+    # the document reader checks positivity, one eigh per component
     dec = core.spectral_decompose(rho)
     mu = core.numerical_rank(dec.eigenvalues, tol)
     if mu < 2:
@@ -551,14 +553,8 @@ def reference_split(rho, tol=core.RANK_TOL):
         p_k = np.outer(dec.eigenvectors[:, k], dec.eigenvectors[:, k].conj())
         tau = (rho.matrix - share - lam_k * p_k) / (1.0 - lam_k - t / mu)
         weights.append((1.0 - lam_k - t / mu) / (mu - 1))
-        components.append(core.validate_density(tau, tol=strata.SPLIT_TOL).matrix)
+        components.append(core.validate_density(tau).matrix)
     return np.array(weights), components
-
-
-def split_refused(lam):
-    # convex_split's up-front rule on the descending spectrum lam
-    margin = np.finfo(float).eps * strata.SPLIT_ERROR_MARGIN
-    return not strata.SPLIT_TOL * (1.0 - lam[0]) >= max(margin, -lam[-1])
 
 
 @st.composite
@@ -569,7 +565,7 @@ def split_spectra(draw):
     head = np.array([draw(st.sampled_from(levels)) for _ in range(mu)])
     head /= head.sum()
     if draw(st.booleans()):
-        # near-pure: 1 - lam_max on both sides of 7.1e-7, where the rule
+        # near-pure: 1 - lam_max on both sides of 7.1e-5, where the rule
         # starts to refuse, and down past the rank cut
         rest = 10.0 ** -draw(st.floats(2.0, 9.5))
         head[1:] *= rest / head[1:].sum()
@@ -584,22 +580,23 @@ def split_spectra(draw):
 @settings(max_examples=200, deadline=None)
 @given(split_spectra())
 def test_convex_split_bitwise_equals_revalidated_reference(case):
-    # a valid rho is refused only up front, by rank or by the rule on its
-    # spectrum; every split it returns equals, bit for bit, components that
-    # each pass validate_density at SPLIT_TOL
+    # a valid rho is refused only up front, by rank or by the rule on rho;
+    # every split it returns equals, bit for bit, components that each pass
+    # validate_density at VALIDATION_TOL
     lam, seed = case
     u = sampling.random_unitary(lam.size, seed).matrix
     m = (u * lam) @ u.conj().T
     rho = core.validate_density(m / np.trace(m).real)
     spectrum = core.spectral_decompose(rho).eigenvalues
+    mu = core.numerical_rank(spectrum)
     try:
         split = strata.convex_split(rho)
     except (AlreadyPureError, DegenerateTotalWeightError) as exc:
-        pure = core.numerical_rank(spectrum) < 2
+        pure = mu < 2
         assert type(exc) is (AlreadyPureError if pure else DegenerateTotalWeightError)
-        assert pure or split_refused(spectrum)
+        assert pure or split_refused(rho, spectrum, mu)
         return
-    assert not split_refused(spectrum)
+    assert not split_refused(rho, spectrum, mu)
     weights, components = reference_split(rho)
     assert np.array_equal(split.weights, weights)
     assert len(split.components) == len(components)
@@ -631,7 +628,7 @@ def layout(a):
             a.flags.writeable, a.tobytes())
 
 
-# 1 - lam_max = 1e-7 is refused up front; 2e-6 is built like any split
+# 1 - lam_max = 1e-7 is refused up front; 2e-4 is built like any split
 @pytest.mark.parametrize("lam, diagonal, returns", [
     ([0.5, 0.3, 0.15, 0.05], False, True),
     ([1 - 1e-7, 6e-8, 4e-8], False, False),
@@ -641,8 +638,8 @@ def layout(a):
     ([0.5, 0.3, 0.2, 0.0, 0.0], True, True),
     ([0.2, 0.5, 0.0, 0.3], True, True),
     ([1 - 1e-7, 1e-7], True, False),
-    ([1 - 2e-6, 1.2e-6, 8e-7], False, True),
-    ([1 - 2e-6, 2e-6], True, True),
+    ([1 - 2e-4, 1.2e-4, 8e-5], False, True),
+    ([1 - 2e-4, 2e-4], True, True),
 ])
 def test_convex_split_components_equal_separate_buffers(lam, diagonal, returns):
     lam = np.array(lam)
@@ -669,7 +666,7 @@ def test_convex_split_components_equal_separate_buffers(lam, diagonal, returns):
 
 
 @pytest.mark.parametrize("n, mu, kind", [
-    (24, 12, "tail"), (48, 48, "tied"), (64, 8, "near-pure"), (64, 64, "spread"),
+    (24, 12, "tail"), (48, 48, "tied"), (64, 8, "near-pure-kept"), (64, 64, "spread"),
 ])
 def test_convex_split_bytes_equal_plain_reference_at_workload_sizes(n, mu, kind):
     # the sizes lib-large and cli-large split, beyond the n <= 6 above;
@@ -680,13 +677,13 @@ def test_convex_split_bytes_equal_plain_reference_at_workload_sizes(n, mu, kind)
     assert core.numerical_rank(lam) == mu
     if kind == "tail":
         assert lam[mu:].sum() > 1e-13
-    weights, components, taus = sweep_reference_split(rho)
+    weights, components = sweep_reference_split(rho)
     split = strata.convex_split(rho)
     assert split.weights.dtype == weights.dtype
     assert split.weights.tobytes() == weights.tobytes()
     assert [sweep_layout(c.matrix) for c in split.components] == [
         sweep_layout(c) for c in components]
-    assert sweep_oracle(taus, components) is None
+    assert sweep_oracle(split.components) is None
 
 
 def test_convex_split_components_share_one_read_only_block():
@@ -705,15 +702,16 @@ def test_convex_split_components_share_one_read_only_block():
 
 
 def test_convex_split_positivity_checked_on_spectrum():
-    # valid at the parse tolerance, but component 0 = (rho - lam_0 P_0) / 1e-6
-    # would carry the -5e-11 eigenvalue as -5e-5: the rule refuses rho before
-    # building it; a -5e-15 tail, within SPLIT_TOL * 1e-6, splits
-    rho = diag_density(1 - 1e-6 + 5e-11, 1e-6, -5e-11)
+    # valid at the parse tolerance, but component 0 = (rho - T / 2 - lam_0
+    # P_0) / 1e-4 would carry the -5e-11 eigenvalue, shared out as
+    # -2.5e-11, as -2.5e-7: the rule refuses rho before building it; a
+    # -5e-15 tail, within VALIDATION_TOL * 1e-4, splits
+    rho = diag_density(1 - 1e-4 + 5e-11, 1e-4, -5e-11)
     with pytest.raises(NotPositiveError):
         reference_split(rho)
     with pytest.raises(DegenerateTotalWeightError):
         strata.convex_split(rho)
-    rho = diag_density(1 - 1e-6 + 5e-15, 1e-6, -5e-15)
+    rho = diag_density(1 - 1e-4 + 5e-15, 1e-4, -5e-15)
     weights, components = reference_split(rho)
     split = strata.convex_split(rho)
     assert np.array_equal(split.weights, weights)
@@ -722,18 +720,22 @@ def test_convex_split_positivity_checked_on_spectrum():
 
 
 def test_convex_split_hermitian_and_trace_checked_on_rho():
+    # bare-constructor rho whose skew or trace its components would carry:
+    # the revalidated reference blames each component, and the rule refuses
+    # rho up front, naming the deviation
     skew = core.DensityMatrix(np.array([[0.5, 1e-6], [0.0, 0.5]]))
     heavy = core.DensityMatrix(np.diag([0.6, 0.6]))
-    for rho, error in ((skew, NotHermitianError), (heavy, TraceNotOneError)):
+    for rho, error, named in ((skew, NotHermitianError, "max |rho - rho^dag| = 1e-06,"),
+                              (heavy, TraceNotOneError, "|tr rho - 1| = 0.19999999999999996)")):
         with pytest.raises(error):
             reference_split(rho)
-        with pytest.raises(error):
+        with pytest.raises(DegenerateTotalWeightError, match=re.escape(named)):
             strata.convex_split(rho)
 
 
 def test_convex_split_runs_one_eigh_and_no_eigvalsh(monkeypatch):
     rho = core.DensityMatrix(sampling.random_density(5, 4, 21).matrix)
-    near_pure = core.DensityMatrix(diag_density(1 - 2e-6, 2e-6).matrix)
+    near_pure = core.DensityMatrix(diag_density(1 - 2e-4, 2e-4).matrix)
     calls = {"eigh": 0, "eigvalsh": 0}
 
     def counting(name, fn):
